@@ -76,8 +76,8 @@ func TestRuleFixtures(t *testing.T) {
 		{name: "R7-in-defining-pkg", file: "r7.go", as: "internal/scenario/fixture"},
 		{name: "R8-in-scope", file: "r8.go", as: "internal/scenario/fixture8"},
 		{name: "R8-out-of-scope", file: "r8.go", as: "internal/experiments/fixture8", ignores: true},
-		{name: "R8R9-checkpoint-in-scope", file: "r8ckpt.go", as: "internal/sim/fixtureckpt"},
-		{name: "R8R9-checkpoint-out-of-scope", file: "r8ckpt.go", as: "internal/experiments/fixtureckpt", ignores: true},
+		{name: "R9-checkpoint-in-scope", file: "r9ckpt.go", as: "internal/sim/fixtureckpt"},
+		{name: "R9-checkpoint-out-of-scope", file: "r9ckpt.go", as: "internal/experiments/fixtureckpt", ignores: true},
 		{name: "R9-in-scope", file: "r9.go", as: "internal/sim/fixture9"},
 		{name: "R9-out-of-scope", file: "r9.go", as: "internal/textplot/fixture9", ignores: true},
 		{name: "R9-devsnap-in-scope", file: "rdevsnap.go", as: "internal/accel/fixturedev"},

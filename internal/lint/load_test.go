@@ -85,7 +85,7 @@ func TestLoadMissingPackage(t *testing.T) {
 // wall clocks and global rand freely.
 func TestLoadSkipsTestFiles(t *testing.T) {
 	dir := writeModule(t, map[string]string{
-		"go.mod": "module broken\n\ngo 1.22\n",
+		"go.mod":             "module broken\n\ngo 1.22\n",
 		"internal/sim/ok.go": "package sim\n\n// Cycles is fine.\nfunc Cycles() int { return 1 }\n",
 		"internal/sim/ok_test.go": "package sim\n\nimport \"time\"\n\n" +
 			"func helper() int64 { return time.Now().UnixNano() }\n",

@@ -13,14 +13,11 @@ import (
 // other, which is the silent-aliasing failure DESIGN.md's scenario
 // section rules out. Each root is audited in the package that owns its
 // encoder (auditUnder): the scenario digest encoder covers the spec
-// types, and the sim checkpoint codec covers Checkpoint — a microarch
-// field added to Core state but never serialized would silently zero on
-// every resume-from-disk.
+// types.
 var digestRoots = []struct{ pkgSuffix, name, auditUnder string }{
 	{"internal/sim", "Config", "internal/scenario"},
 	{"internal/scenario", "Spec", "internal/scenario"},
 	{"internal/scenario", "MeasureSpec", "internal/scenario"},
-	{"internal/sim", "Checkpoint", "internal/sim"},
 }
 
 // ruleDigestCov (R8) proves digest exhaustiveness: every exported field
@@ -32,9 +29,9 @@ var digestRoots = []struct{ pkgSuffix, name, auditUnder string }{
 var ruleDigestCov = &Rule{
 	ID:   "R8",
 	Name: "digest-field-coverage",
-	Doc:  "every field reachable from sim.Config / scenario.Spec / scenario.MeasureSpec / sim.Checkpoint must reach its digest or checkpoint encoder, be erased by Canonical, or carry a //lint:exempt-field R8 manifest entry",
+	Doc:  "every field reachable from sim.Config / scenario.Spec / scenario.MeasureSpec must reach the digest encoder, be erased by Canonical, or carry a //lint:exempt-field R8 manifest entry",
 	Applies: func(rel string) bool {
-		return underAny(rel, "internal/scenario", "internal/sim")
+		return underAny(rel, "internal/scenario")
 	},
 	Check: checkDigestCoverage,
 }

@@ -13,9 +13,9 @@ import (
 // so the next family (the SNAX-style programmable streamer on the
 // roadmap) cannot land half-wired. The surfaces:
 //
-//   - a SnapshotState/RestoreState pair, so the checkpoint codec can
-//     round-trip the device (always checkable: the methods live on the
-//     family type itself);
+//   - a SnapshotState/RestoreState pair, so a warm checkpoint can
+//     capture and restore the device (always checkable: the methods
+//     live on the family type itself);
 //   - an exported internal/workload constructor that reaches the family
 //     and stamps a canonical DeviceKey — the identity the scenario
 //     store caches under;
@@ -49,7 +49,7 @@ func checkRegistry(pass *Pass) {
 		var missing []string
 
 		if !hasMethod(named, "SnapshotState") || !hasMethod(named, "RestoreState") {
-			missing = append(missing, "a SnapshotState/RestoreState pair for the checkpoint codec")
+			missing = append(missing, "a SnapshotState/RestoreState pair for checkpointing")
 		}
 
 		if wp := ix.byRel["internal/workload"]; wp != nil {

@@ -21,13 +21,13 @@ import (
 // Forking keys on the warmup digest: the Spec digest with the canonical
 // config replaced by its warmup-canonical form. Specs differing only in
 // post-warmup fields collide on it — exactly the sharing we want. The
-// ordinary digest/SchemeVersion rules are the invalidation story: any
-// encoding or semantics change bumps SchemeVersion, which salts this
-// digest too, so stale disk checkpoints read as misses.
+// shared checkpoint lives in the store's memory only, for the lifetime
+// of the process; nothing about it is persisted, so there is no stale
+// checkpoint to invalidate.
 
 // minForkCycles gates forking: prefixes shorter than this resume in
 // about the time they take to re-simulate, so the snapshot machinery
-// would only add overhead and disk traffic.
+// would only add overhead.
 const minForkCycles = 2_000
 
 // warmupDigest is the spec's content address with post-warmup config

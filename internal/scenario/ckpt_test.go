@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -128,44 +129,45 @@ func TestCheckpointBaselineNotForked(t *testing.T) {
 	}
 }
 
-// TestCheckpointDiskBlobSharedAcrossStores: a second store over the
-// same directory loads the warm checkpoint from disk instead of
-// re-running the warmup, and still produces identical results.
-func TestCheckpointDiskBlobSharedAcrossStores(t *testing.T) {
+// TestCheckpointMemoryOnly: warm checkpoints never reach the cache
+// directory. A second store over the same directory, asked for a new
+// mode in the same warmup family, re-runs the warmup once, forks from
+// it, and still matches a direct run.
+func TestCheckpointMemoryOnly(t *testing.T) {
 	dir := t.TempDir()
 	first := newTestStore(t, dir)
-	spec := warmupHeavySpec(t, accel.LT, 2000)
-	want, err := first.RunStats(spec)
+	if _, err := first.RunStats(warmupHeavySpec(t, accel.LT, 2000)); err != nil {
+		t.Fatal(err)
+	}
+	if m := first.Metrics(); m.CkptWarmups != 1 || m.CkptForks != 1 {
+		t.Fatalf("first store: %d warmups / %d forks, want 1 / 1", m.CkptWarmups, m.CkptForks)
+	}
+	ckptFiles, err := filepath.Glob(filepath.Join(dir, "*", "ckpt-*"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := first.Metrics(); m.CkptWarmups != 1 {
-		t.Fatalf("first store: %d warmups, want 1", m.CkptWarmups)
+	if len(ckptFiles) != 0 {
+		t.Errorf("checkpoint written to the cache dir: %v", ckptFiles)
 	}
 
 	second := newTestStore(t, dir)
-	// A different mode in the same warmup family: the run-level blob
-	// differs, the checkpoint blob is shared.
+	// A different mode in the same warmup family: its run blob is not
+	// on disk, and neither is the family's checkpoint.
 	other := warmupHeavySpec(t, accel.NLNT, 2000)
 	got, err := second.RunStats(other)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mtr := second.Metrics()
-	if mtr.CkptDiskHits != 1 || mtr.CkptWarmups != 0 {
-		t.Errorf("second store: %d disk hits / %d warmups, want 1 / 0", mtr.CkptDiskHits, mtr.CkptWarmups)
-	}
-	if mtr.CkptForks != 1 {
-		t.Errorf("second store did not fork from the disk checkpoint: %+v", mtr)
+	if m := second.Metrics(); m.CkptWarmups != 1 || m.CkptForks != 1 {
+		t.Errorf("second store: %d warmups / %d forks, want 1 / 1", m.CkptWarmups, m.CkptForks)
 	}
 	direct, err := other.run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, direct) {
-		t.Error("disk-checkpoint fork differs from direct run")
+		t.Error("second store's fork differs from direct run")
 	}
-	_ = want
 }
 
 // TestCheckpointForkConcurrent: concurrent first requests across a

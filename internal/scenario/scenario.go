@@ -34,9 +34,9 @@ import (
 // change in any way: old disk blobs then read as misses instead of
 // serving stale bytes. The golden digest tests pin the current scheme.
 //
-// v3: the device-engine refactor — checkpoint codec v2 (new stats frame
-// fields) and the first engine device families (DAE, loop nest) changed the
-// cached payload layout.
+// v3: the device-engine refactor — new Stats fields (AccelPhases,
+// AccelOverlapCycles) and the first engine device families (DAE, loop
+// nest) changed the cached payload layout.
 const SchemeVersion = 3
 
 // Spec canonically describes one simulator run.

@@ -3,7 +3,6 @@ package scenario
 import (
 	"os"
 	"path/filepath"
-	"reflect"
 	"sync"
 	"testing"
 )
@@ -28,48 +27,8 @@ func TestShardedBlobLayout(t *testing.T) {
 	}
 }
 
-// TestLegacyFlatBlobReadThrough is the migration test: a cache
-// directory written by a pre-shard revision (blobs flat in the root)
-// keeps serving disk hits after the layout upgrade — no invalidation,
-// no re-simulation.
-func TestLegacyFlatBlobReadThrough(t *testing.T) {
-	dir := t.TempDir()
-	writer := newTestStore(t, dir)
-	spec := baselineSpec(t)
-	want, err := writer.RunStats(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Demote the blob to the legacy flat location, emptying the shard —
-	// the directory now looks exactly like a pre-shard cache.
-	h := spec.Digest().String()
-	sharded := filepath.Join(dir, h[:2], "run-"+h+".json")
-	flat := filepath.Join(dir, "run-"+h+".json")
-	if err := os.Rename(sharded, flat); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, h[:2])); err != nil {
-		t.Fatal(err)
-	}
-
-	reader := newTestStore(t, dir)
-	got, err := reader.RunStats(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("legacy-layout disk hit returned different stats")
-	}
-	m := reader.Metrics()
-	if m.RunDiskHits != 1 || m.RunMisses != 0 {
-		t.Errorf("metrics %+v: want 1 disk hit, 0 misses", m)
-	}
-}
-
-// TestShardedAndLegacyPreferSharded: when both locations exist, the
-// sharded blob wins (it is the one current revisions write and
-// refresh).
+// TestShardedAndLegacyPreferSharded: a stray file at the old flat
+// location is never read; the sharded blob serves the disk hit.
 func TestShardedAndLegacyPreferSharded(t *testing.T) {
 	dir := t.TempDir()
 	writer := newTestStore(t, dir)
@@ -80,7 +39,7 @@ func TestShardedAndLegacyPreferSharded(t *testing.T) {
 	h := spec.Digest().String()
 	sharded := filepath.Join(dir, h[:2], "run-"+h+".json")
 	flat := filepath.Join(dir, "run-"+h+".json")
-	// Plant a corrupt legacy blob; only the legacy path would fail.
+	// Plant a corrupt flat blob; reading it would be a miss.
 	if err := os.WriteFile(flat, []byte("{corrupt"), 0o644); err != nil {
 		t.Fatal(err)
 	}

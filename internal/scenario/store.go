@@ -22,6 +22,9 @@ import (
 // A nil *Store is valid and means "no caching": every method executes
 // the work directly, so callers never branch on cache availability.
 //
+// Warm checkpoints (see ckpt.go) live in memory only: they are shared
+// across the forks of one process and never written to the directory.
+//
 // The disk layer is strictly best-effort and can only produce misses,
 // never wrong results or errors: a blob that is unreadable, corrupt,
 // from another scheme version, or digest-mismatched is ignored and the
@@ -45,7 +48,7 @@ type Store struct {
 	// lock.
 	runHits, runMisses, runDiskHits, runUncacheable, runCoalesced      atomic.Int64
 	measHits, measMisses, measDiskHits, measUncacheable, measCoalesced atomic.Int64
-	ckptForks, ckptWarmups, ckptDiskHits                               atomic.Int64
+	ckptForks, ckptWarmups                                             atomic.Int64
 	staticHits, staticMisses, staticUncacheable, staticCoalesced       atomic.Int64
 	bytesRead, bytesWritten                                            atomic.Int64
 }
@@ -212,9 +215,9 @@ func (s *Store) computeRun(spec Spec) (sim.Stats, error) {
 }
 
 // warmCheckpoint returns the spec's shared warm checkpoint, running the
-// warmup prefix (or loading its disk blob) on the family's first use.
-// nil means "run directly": forking disabled, spec unforkable, or the
-// family probed unforkable earlier.
+// warmup prefix once per family (singleflight, in memory) on its first
+// use. nil means "run directly": forking disabled, spec unforkable, or
+// the family probed unforkable earlier.
 func (s *Store) warmCheckpoint(spec Spec) *sim.Checkpoint {
 	if s.noCkptFork || !spec.forkable() {
 		return nil
@@ -228,16 +231,8 @@ func (s *Store) warmCheckpoint(spec Spec) *sim.Checkpoint {
 	}
 	s.mu.Unlock()
 	e.once.Do(func() {
-		if ck, ok := s.loadCkptBlob(d); ok {
-			e.ck = ck
-			s.ckptDiskHits.Add(1)
-			return
-		}
 		s.ckptWarmups.Add(1)
 		e.ck = spec.warmup()
-		if e.ck != nil {
-			s.saveCkptBlob(d, e.ck)
-		}
 	})
 	return e.ck
 }
@@ -265,9 +260,8 @@ type Metrics struct {
 	// Measure-level counters, same meaning.
 	MeasureHits, MeasureMisses, MeasureDiskHits, MeasureUncacheable, MeasureCoalesced int64
 	// Checkpoint counters: Forks resumed from a shared warm snapshot,
-	// Warmups executed a warmup prefix to produce (or probe for) one,
-	// DiskHits loaded one from the blob directory.
-	CkptForks, CkptWarmups, CkptDiskHits int64
+	// Warmups executed a warmup prefix to produce (or probe for) one.
+	CkptForks, CkptWarmups int64
 	// Static-prediction counters (memory-only level, see
 	// Store.StaticPrediction).
 	StaticHits, StaticMisses, StaticUncacheable, StaticCoalesced int64
@@ -293,7 +287,6 @@ func (s *Store) Metrics() Metrics {
 		MeasureCoalesced:   s.measCoalesced.Load(),
 		CkptForks:          s.ckptForks.Load(),
 		CkptWarmups:        s.ckptWarmups.Load(),
-		CkptDiskHits:       s.ckptDiskHits.Load(),
 		StaticHits:         s.staticHits.Load(),
 		StaticMisses:       s.staticMisses.Load(),
 		StaticUncacheable:  s.staticUncacheable.Load(),
@@ -334,7 +327,6 @@ func (m Metrics) Sub(prev Metrics) Metrics {
 		MeasureCoalesced:   m.MeasureCoalesced - prev.MeasureCoalesced,
 		CkptForks:          m.CkptForks - prev.CkptForks,
 		CkptWarmups:        m.CkptWarmups - prev.CkptWarmups,
-		CkptDiskHits:       m.CkptDiskHits - prev.CkptDiskHits,
 		StaticHits:         m.StaticHits - prev.StaticHits,
 		StaticMisses:       m.StaticMisses - prev.StaticMisses,
 		StaticUncacheable:  m.StaticUncacheable - prev.StaticUncacheable,
@@ -347,10 +339,10 @@ func (m Metrics) Sub(prev Metrics) Metrics {
 // String renders the one-line report cmd/figures prints to stderr.
 func (m Metrics) String() string {
 	return fmt.Sprintf(
-		"scenario store: runs %d hit / %d coalesced / %d disk / %d miss / %d uncacheable | measures %d hit / %d coalesced / %d disk / %d miss / %d uncacheable | ckpt %d fork / %d warmup / %d disk | static %d hit / %d coalesced / %d miss / %d uncacheable | %d B read, %d B written | dedup %.1f%%",
+		"scenario store: runs %d hit / %d coalesced / %d disk / %d miss / %d uncacheable | measures %d hit / %d coalesced / %d disk / %d miss / %d uncacheable | ckpt %d fork / %d warmup | static %d hit / %d coalesced / %d miss / %d uncacheable | %d B read, %d B written | dedup %.1f%%",
 		m.RunHits, m.RunCoalesced, m.RunDiskHits, m.RunMisses, m.RunUncacheable,
 		m.MeasureHits, m.MeasureCoalesced, m.MeasureDiskHits, m.MeasureMisses, m.MeasureUncacheable,
-		m.CkptForks, m.CkptWarmups, m.CkptDiskHits,
+		m.CkptForks, m.CkptWarmups,
 		m.StaticHits, m.StaticCoalesced, m.StaticMisses, m.StaticUncacheable,
 		m.BytesRead, m.BytesWritten, 100*m.DedupRatio())
 }
@@ -363,10 +355,6 @@ type diskBlob struct {
 	Digest  string         `json:"digest"`
 	Run     *sim.Stats     `json:"run,omitempty"`
 	Measure *MeasureRecord `json:"measure,omitempty"`
-	// Ckpt holds a sim.Checkpoint in its own binary wire format
-	// (base64 inside the JSON envelope); the checkpoint codec's magic
-	// and version header is verified again on decode.
-	Ckpt []byte `json:"ckpt,omitempty"`
 }
 
 // blobPath is the sharded location of one envelope: blobs spread over
@@ -375,31 +363,18 @@ type diskBlob struct {
 // digest); a flat directory degrades on lookup and temp-file creation
 // long before the cache itself is large (classic dirent scaling), so
 // the digest prefix — uniform by construction, SHA-256 — spreads the
-// load. Blobs written by pre-shard revisions sit directly in dir; they
-// are still found via legacyBlobPath, so an upgrade invalidates
-// nothing.
+// load.
 func (s *Store) blobPath(kind string, d Digest) string {
 	h := d.String()
 	return filepath.Join(s.dir, h[:2], kind+"-"+h+".json")
 }
 
-// legacyBlobPath is the pre-shard flat location, read (never written)
-// for transparent cache carry-over across the layout upgrade.
-func (s *Store) legacyBlobPath(kind string, d Digest) string {
-	return filepath.Join(s.dir, kind+"-"+d.String()+".json")
-}
-
-// loadBlob reads and verifies one envelope, checking the sharded
-// location first and falling back to the legacy flat layout. Any
-// failure is a miss.
+// loadBlob reads and verifies one envelope. Any failure is a miss.
 func (s *Store) loadBlob(kind string, d Digest) (diskBlob, bool) {
 	if s.dir == "" {
 		return diskBlob{}, false
 	}
 	data, err := os.ReadFile(s.blobPath(kind, d))
-	if err != nil {
-		data, err = os.ReadFile(s.legacyBlobPath(kind, d))
-	}
 	if err != nil {
 		return diskBlob{}, false
 	}
@@ -473,20 +448,4 @@ func (s *Store) loadMeasureBlob(d Digest) (MeasureRecord, bool) {
 
 func (s *Store) saveMeasureBlob(d Digest, rec MeasureRecord) {
 	s.saveBlob("measure", d, diskBlob{Measure: &rec})
-}
-
-func (s *Store) loadCkptBlob(d Digest) (*sim.Checkpoint, bool) {
-	b, ok := s.loadBlob("ckpt", d)
-	if !ok || b.Ckpt == nil {
-		return nil, false
-	}
-	ck, err := sim.UnmarshalCheckpoint(b.Ckpt)
-	if err != nil {
-		return nil, false
-	}
-	return ck, true
-}
-
-func (s *Store) saveCkptBlob(d Digest, ck *sim.Checkpoint) {
-	s.saveBlob("ckpt", d, diskBlob{Ckpt: ck.MarshalBinary()})
 }

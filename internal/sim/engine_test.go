@@ -413,7 +413,7 @@ func TestEngineFastForwardTransparent(t *testing.T) {
 // TestEngineCheckpointTransparent: a run containing engine invocations,
 // checkpointed mid-flight and resumed, must finish bit-identically to an
 // uninterrupted run — engine occupancy is fully carried by TCABusyUntil and
-// the codec's stats frame.
+// the snapshot's Stats.
 func TestEngineCheckpointTransparent(t *testing.T) {
 	const base = 0xB000
 	b := isa.NewBuilder()
@@ -454,11 +454,7 @@ func TestEngineCheckpointTransparent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck2, err := UnmarshalCheckpoint(ck.MarshalBinary())
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := NewFromCheckpoint(cfg, prog, mkDev(), ck2)
+	resumed, err := NewFromCheckpoint(cfg, prog, mkDev(), ck)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,13 @@
 #!/bin/sh
-# check.sh — the repo's full verification gate: vet, build, and the whole
+# check.sh — the repo's full verification gate: gofmt, vet, build, and the whole
 # test suite under the race detector. Run from the repo root.
 set -eu
 
 cd "$(dirname "$0")/.."
+
+echo "==> gofmt -l ."
+unformatted=$(gofmt -l .)
+test -z "$unformatted" || { echo "gofmt needed:"; echo "$unformatted"; exit 1; }
 
 echo "==> go vet ./..."
 go vet ./...
@@ -24,6 +28,11 @@ go build ./...
 
 echo "==> go test -race ./..."
 go test -race ./...
+
+# cmd/tcabench is a separate module, invisible to ./... above; it uses
+# the scenario, serve and sim APIs, so vet and test it on its own.
+echo "==> cmd/tcabench: go vet + go test (separate module)"
+(cd cmd/tcabench && go vet ./... && go test .)
 
 # The scenario-store contract: figure artifacts are byte-identical with
 # the cache off, cold, and warm, at any worker count, and with
