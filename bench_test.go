@@ -330,8 +330,9 @@ func BenchmarkModelEvaluate(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulator measures out-of-order simulation throughput in
-// instructions per second on the synthetic workload.
+// BenchmarkSimulator measures out-of-order simulation throughput on the
+// synthetic workload, in committed instructions and in simulated cycles
+// per host second.
 func BenchmarkSimulator(b *testing.B) {
 	w, err := workload.Synthetic(workload.SyntheticConfig{
 		Units: 400, UnitLen: 25, Regions: 20, RegionLen: 60, AccelLatency: 12, Seed: 1,
@@ -340,6 +341,7 @@ func BenchmarkSimulator(b *testing.B) {
 		b.Fatal(err)
 	}
 	var instr uint64
+	var cycles int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c, err := sim.New(sim.HighPerfConfig(), w.Baseline, nil)
@@ -351,10 +353,12 @@ func BenchmarkSimulator(b *testing.B) {
 			b.Fatal(err)
 		}
 		instr += res.Stats.Committed
+		cycles += res.Stats.Cycles
 	}
 	b.StopTimer()
 	if sec := b.Elapsed().Seconds(); sec > 0 {
 		b.ReportMetric(float64(instr)/sec/1e6, "Minstr/s")
+		b.ReportMetric(float64(cycles)/sec/1e6, "Mcycles/s")
 	}
 }
 

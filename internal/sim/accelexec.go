@@ -43,19 +43,22 @@ func (o *overlayReader) LoadFloat(addr uint64) float64 {
 	return math.Float64frombits(o.Load(addr))
 }
 
-// buildOverlay collects the in-flight writes older than ROB position pos.
-// Callers guarantee every older store has executed (address and data known)
-// and every older TCA invocation has started, so the overlay is complete.
-func (c *Core) buildOverlay(pos int) *overlayReader {
+// buildOverlay collects the in-flight writes older than the entry with
+// sequence number seq. Callers guarantee every older store has executed
+// (address and data known) and every older TCA invocation has started, so
+// the overlay is complete.
+func (c *Core) buildOverlay(seq uint64) *overlayReader {
 	o := &overlayReader{base: c.mem, pending: make(map[uint64]uint64)}
+	first := c.rob.hotAt(0).seq
 	// Oldest-first so newer writes overwrite older ones to the same word.
-	for i := 0; i < pos; i++ {
+	for j, n := 0, c.writers.countBelow(seq); j < n; j++ {
+		i := int(c.writers.at(j) - first)
 		switch oh := c.rob.hotAt(i); {
 		case oh.op.IsStore():
 			if e := c.rob.at(i); e.addrKnown {
 				o.pending[e.addr>>3] = e.storeData
 			}
-		case oh.op == isa.OpAccel:
+		default:
 			if e := c.rob.at(i); e.accelStarted {
 				for _, s := range c.accelStoresOf(e) {
 					o.pending[s.Addr>>3] = s.Data
@@ -108,7 +111,7 @@ func (c *Core) tryStartAccel(pos int, h *robHot, e *robEntry, olderStorePending,
 	// Only devices that read program memory must wait for older writes to
 	// resolve; register-operand devices (heap tables, fixed-latency
 	// blocks) start as soon as dispatched, as the model assumes.
-	if devUsesMemory(c.dev) && (olderStorePending || olderMemAccelPending) {
+	if c.devMem && (olderStorePending || olderMemAccelPending) {
 		return false
 	}
 
@@ -120,7 +123,7 @@ func (c *Core) tryStartAccel(pos int, h *robHot, e *robEntry, olderStorePending,
 		Kind: e.in.Imm,
 		Args: [3]uint64{e.operandValue(0), e.operandValue(1), e.operandValue(2)},
 	}
-	res, stores := isa.InvokeAndCollect(c.dev, call, c.buildOverlay(pos))
+	res, stores := isa.InvokeAndCollect(c.dev, call, c.buildOverlay(h.seq))
 	c.accelEverInvoked = true
 	e.accelStarted = true
 	e.accelStart = c.now

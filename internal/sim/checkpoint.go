@@ -326,6 +326,9 @@ func (c *Core) restoreFrom(ck *Checkpoint) error {
 	} else if !ck.DevicePristine {
 		return fmt.Errorf("sim: checkpoint device was invoked but no state frame was captured")
 	}
+	// The issue scheduler's lists and watermarks are derived from the
+	// ROB slabs, so the snapshot omits them and restore recomputes them.
+	c.rebuildSched()
 	return nil
 }
 

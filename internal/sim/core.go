@@ -64,6 +64,16 @@ type Core struct {
 	lsqCount    int
 	issuedCount int // entries in sIssued (executing) state
 
+	// Issue-scheduler state derived from the ROB (sched.go). Restore
+	// rebuilds it from the slabs; a Checkpoint never carries it.
+	ready    []uint64           // issue candidates, oldest first
+	consHead []int32            // per ROB slot: newest operand waiting on its result
+	consNext []int32            // per operand link: next older operand in its list
+	writers  seqRing            // in-flight stores and TCA calls, oldest first
+	wm       [numHazards]uint64 // per hazard: oldest seq raising it, or noSeq
+	partial  bool               // the partial-speculation confidence gate is active
+	devMem   bool               // devUsesMemory(dev), fixed for the core's life
+
 	// accelArena backs the pending-store spans of in-flight TCA
 	// invocations (robEntry.storeOff/storeCount). Invocations start in
 	// program order, so squashed spans are always an arena suffix and
@@ -170,6 +180,16 @@ func New(cfg Config, prog *isa.Program, dev isa.AccelDevice) (*Core, error) {
 	// port scheduler so the TCA and core contend for the same bandwidth.
 	c.fu[fuMem] = nil
 	c.ports = make([]int64, cfg.MemPorts)
+	// The scheduler lists hold resident entries only, so ROB-sized
+	// storage never reallocates.
+	slots := len(c.rob.hot)
+	c.ready = make([]uint64, 0, cfg.ROBSize)
+	c.writers = newSeqRing(slots)
+	c.consHead = make([]int32, slots)
+	c.consNext = make([]int32, 3*slots)
+	c.partial = cfg.PartialSpeculation && cfg.Mode.Leading()
+	c.devMem = devUsesMemory(dev)
+	c.rebuildSched()
 	return c, nil
 }
 
@@ -360,8 +380,11 @@ func (c *Core) complete() {
 		h.state = sDone
 		c.issuedCount--
 		c.quiet = false
-		c.wake(pos, h)
+		c.wake(pos)
 		if h.op.IsCondBranch() {
+			if c.wm[hzLowConf] == h.seq {
+				c.advance(hzLowConf, pos)
+			}
 			e := c.rob.at(pos)
 			c.pred.Update(uint64(e.pc), e.actualTaken)
 			if e.mispredict {
@@ -381,26 +404,23 @@ func (c *Core) noteIssued(h *robHot) {
 	c.pushPend(compRecord{cycle: h.readyCycle, seq: h.seq})
 }
 
-// wake delivers a completed result to every dependent operand. Dependents
-// are strictly younger, so the scan starts after the producer's position
-// and stops as soon as the producer's wakeUses consumers are all served.
-// The scan reads only the hot slab until a dependent actually matches.
-func (c *Core) wake(pos int, h *robHot) {
+// wake delivers a completed result to every operand on the producer's
+// consumer list and moves dependents that became issue candidates onto
+// the ready list.
+func (c *Core) wake(pos int) {
 	val := c.rob.at(pos).val
-	for i := pos + 1; h.wakeUses > 0 && i < c.rob.len(); i++ {
-		dh := c.rob.hotAt(i)
-		if dh.state != sWaiting || dh.pendMask == 0 {
-			continue
-		}
-		d := c.rob.at(i)
-		for s := range d.srcs {
-			if dh.pendMask&(1<<uint(s)) != 0 && d.srcs[s].producer == h.seq {
-				dh.pendMask &^= 1 << uint(s)
-				d.srcs[s].value = val
-				h.wakeUses--
-			}
+	slot := c.rob.slot(pos)
+	for l := c.consHead[slot]; l != noLink; l = c.consNext[l] {
+		ds, src := int(l)/3, int(l)%3
+		dh, d := &c.rob.hot[ds], &c.rob.cold[ds]
+		was := isCandidate(dh, d)
+		dh.pendMask &^= 1 << uint(src)
+		d.srcs[src].value = val
+		if !was && isCandidate(dh, d) {
+			c.insertReady(dh.seq)
 		}
 	}
+	c.consHead[slot] = noLink
 }
 
 // redirect restarts fetch at pc on the next cycle.
@@ -439,17 +459,23 @@ func (c *Core) squashAfter(keep int) {
 	// Squashed invocations' store spans are an arena suffix (program-order
 	// starts); drop them by truncating at the oldest squashed span.
 	arenaKeep := len(c.accelArena)
+	keepSeq := c.rob.hotAt(keep).seq
 	for i := first; i < c.rob.len(); i++ {
 		h := c.rob.hotAt(i)
 		e := c.rob.at(i)
 		c.stats.Squashed++
-		// Release this entry's claims on its producers' wake counters;
-		// every producer (surviving or squashed) is still resident here.
+		// Consumer lists are newest first, so this entry's operands sit
+		// in the squashed prefix of each surviving producer's list.
+		// (Squashed producers' lists reset when their slot is reused.)
 		if h.pendMask != 0 {
 			for s := range e.srcs {
-				if h.pendMask&(1<<uint(s)) != 0 {
-					if pi := c.rob.indexOf(e.srcs[s].producer); pi >= 0 {
-						c.rob.hotAt(pi).wakeUses--
+				if h.pendMask&(1<<uint(s)) == 0 {
+					continue
+				}
+				if pi := c.rob.indexOf(e.srcs[s].producer); pi < first {
+					ps := c.rob.slot(pi)
+					for l := c.consHead[ps]; l != noLink && c.rob.hot[int(l)/3].seq > keepSeq; l = c.consNext[l] {
+						c.consHead[ps] = c.consNext[l]
 					}
 				}
 			}
@@ -484,6 +510,7 @@ func (c *Core) squashAfter(keep int) {
 		}
 	}
 	c.accelArena = c.accelArena[:arenaKeep]
+	c.squashSched(keepSeq)
 	c.rob.truncate(first)
 
 	// Rebuild the rename table from the surviving entries.
@@ -560,6 +587,9 @@ func (c *Core) commit() {
 		}
 		if h.op.IsMem() {
 			c.lsqCount--
+		}
+		if h.op.IsStore() || h.op == isa.OpAccel {
+			c.writers.popFront()
 		}
 		c.recordPipeEvent(h, e)
 		c.rob.popHead()

@@ -22,11 +22,11 @@ type operand struct {
 	value    uint64
 }
 
-// robHot is the per-entry state the busy-cycle scans actually touch: the
-// issue scan reads state and pendMask for every waiting entry, wakeup reads
-// state/pendMask/wakeUses, completion matches seq and readyCycle, and the
-// horizon probes state/readyCycle/op. Packing these into their own slab
-// keeps the scan's working set at a few cache lines per ROB sweep instead
+// robHot is the per-entry state the busy-cycle paths touch most: issue
+// reads state and pendMask of each candidate, wakeup clears pendMask bits,
+// completion matches seq and readyCycle, watermark advances (sched.go)
+// probe op and state, and the horizon probes state/readyCycle/op. Packing
+// these into their own slab keeps those reads to a few cache lines instead
 // of dragging the full entry (robEntry, several lines each) through cache.
 type robHot struct {
 	seq        uint64
@@ -36,10 +36,6 @@ type robHot struct {
 	// pendMask has bit i set while source i waits on a producer
 	// (srcs[i].producer in the cold entry). All sources ready == 0.
 	pendMask uint8
-	// wakeUses counts pending dependent operands waiting on this entry's
-	// result, so wake() can stop scanning once every consumer is served
-	// (and skip the scan entirely for results nobody waits on).
-	wakeUses int32
 }
 
 // robEntry is the cold remainder of one in-flight instruction: fields
@@ -134,6 +130,10 @@ func newROBQueue(capacity int) *robQueue {
 
 func (q *robQueue) len() int   { return q.count }
 func (q *robQueue) full() bool { return q.count == q.limit }
+
+// slot returns the backing-array index of the i'th oldest entry; per-slot
+// side tables (Core.consumers) are indexed by it.
+func (q *robQueue) slot(i int) int { return (q.head + i) & q.mask }
 
 // hotAt returns the i'th oldest entry's hot state (0 = head).
 func (q *robQueue) hotAt(i int) *robHot {

@@ -5,55 +5,57 @@ import (
 	"repro/internal/isa"
 )
 
-// issue scans the ROB oldest-first and starts execution of ready
+// issue walks the ready list oldest-first and starts execution of ready
 // instructions, up to IssueWidth per cycle. The oldest-first order gives
-// age priority at the shared memory ports. The scan touches only the hot
-// slab until an entry can actually issue or raises a hazard.
+// age priority at the shared memory ports. Ordering hazards come from the
+// watermarks (sched.go), which this walk moves as it issues stores,
+// resolves store addresses and starts TCA calls, so each candidate sees
+// exactly the hazards its older entries still raise at its turn.
 func (c *Core) issue() {
+	if len(c.ready) == 0 {
+		return
+	}
 	issued := 0
-	sawUnissuedStore := false    // an older store has not produced addr+data yet
-	sawStoreAddrUnknown := false // an older store's address is still unknown
-	sawUnstartedAccel := false   // an older TCA invocation has not begun
-	sawUnstartedMemAccel := false
-	sawLowConfBranch := false // an older unresolved low-confidence branch
-
-	partial := c.cfg.PartialSpeculation && c.cfg.Mode.Leading()
-
-	// Only waiting entries can issue or raise ordering hazards, so the
-	// scan stops once it has seen them all (iqCount tracks exactly the
-	// waiting population).
-	remaining := c.iqCount
-	for i := 0; i < c.rob.len() && issued < c.cfg.IssueWidth && remaining > 0; i++ {
-		h := c.rob.hotAt(i)
-		if partial && h.op.IsCondBranch() && h.state != sDone && !c.rob.at(i).predConfident {
-			sawLowConfBranch = true
-		}
-		if h.state != sWaiting {
-			continue
-		}
-		remaining--
-		e := c.rob.at(i)
+	first := c.rob.hotAt(0).seq
+	keep := c.ready[:0]
+	i := 0
+	for ; i < len(c.ready) && issued < c.cfg.IssueWidth; i++ {
+		seq := c.ready[i]
+		pos := int(seq - first)
+		h, e := c.rob.hotAt(pos), c.rob.at(pos)
 		ok := false
 		switch {
 		case h.op == isa.OpAccel:
-			ok = c.tryStartAccel(i, h, e, sawUnissuedStore, sawUnstartedAccel, sawUnstartedMemAccel, partial && sawLowConfBranch)
-		case h.op.IsLoad():
-			storeHazard := sawStoreAddrUnknown
-			if c.cfg.ConservativeLoadOrdering {
-				storeHazard = sawUnissuedStore
+			accelOlder := c.wm[hzAccel] < seq
+			ok = c.tryStartAccel(pos, h, e, c.wm[hzStore] < seq, accelOlder,
+				c.devMem && accelOlder, c.wm[hzLowConf] < seq)
+			if ok && c.wm[hzAccel] == seq {
+				c.advance(hzAccel, pos)
 			}
-			ok = c.tryIssueLoad(i, h, e, storeHazard, sawUnstartedMemAccel)
+		case h.op.IsLoad():
+			storeHazard := c.wm[hzStoreAddr] < seq
+			if c.cfg.ConservativeLoadOrdering {
+				storeHazard = c.wm[hzStore] < seq
+			}
+			ok = c.tryIssueLoad(h, e, storeHazard, c.devMem && c.wm[hzAccel] < seq)
 		case h.op.IsStore():
 			// Store address generation is decoupled from the data:
 			// the address resolves as soon as the base register is
 			// ready, letting younger loads disambiguate early the
-			// way real LSQs do.
-			if !e.addrKnown && h.pendMask&uint8(use1) == 0 {
+			// way real LSQs do. (A store with an unknown address is
+			// a candidate only once its base is ready.)
+			if !e.addrKnown {
 				e.addr = e.operandValue(0) + uint64(e.in.Imm)
 				e.addrKnown = true
 				c.quiet = false // a state change even when the store stays waiting
 			}
 			ok = c.tryIssueStore(h, e)
+			if c.wm[hzStoreAddr] == seq {
+				c.advance(hzStoreAddr, pos)
+			}
+			if ok && c.wm[hzStore] == seq {
+				c.advance(hzStore, pos)
+			}
 		default:
 			ok = c.tryIssueSimple(h, e)
 		}
@@ -66,20 +68,11 @@ func (c *Core) issue() {
 			issued++
 			continue
 		}
-		// Still waiting: record ordering hazards for younger entries.
-		if h.op.IsStore() {
-			sawUnissuedStore = true
-			if !e.addrKnown {
-				sawStoreAddrUnknown = true
-			}
-		}
-		if h.op == isa.OpAccel {
-			sawUnstartedAccel = true
-			if devUsesMemory(c.dev) {
-				sawUnstartedMemAccel = true
-			}
+		if isCandidate(h, e) {
+			keep = append(keep, seq)
 		}
 	}
+	c.ready = append(keep, c.ready[i:]...)
 }
 
 // tryIssueSimple handles ALU, FP, branch, and immediate-move instructions.
@@ -155,7 +148,7 @@ const (
 // (decoupled store AGU) and every older memory-using TCA has produced its
 // stores. Matching older writes forward their data; otherwise the load
 // goes to the cache through a shared port.
-func (c *Core) tryIssueLoad(pos int, h *robHot, e *robEntry, olderStoreAddrUnknown, olderMemAccelPending bool) bool {
+func (c *Core) tryIssueLoad(h *robHot, e *robEntry, olderStoreAddrUnknown, olderMemAccelPending bool) bool {
 	if h.pendMask != 0 || olderStoreAddrUnknown || olderMemAccelPending {
 		return false
 	}
@@ -164,7 +157,7 @@ func (c *Core) tryIssueLoad(pos int, h *robHot, e *robEntry, olderStoreAddrUnkno
 	word := e.addr >> 3
 
 	// Newest older write to the same word wins.
-	v, when, status := c.forwardScan(pos, word)
+	v, when, status := c.forwardScan(h.seq, word)
 	switch status {
 	case fwdBlock:
 		return false
@@ -182,11 +175,13 @@ func (c *Core) tryIssueLoad(pos int, h *robHot, e *robEntry, olderStoreAddrUnkno
 	return true
 }
 
-// forwardScan looks newest-first through older in-flight writes for the
-// given word address. A matching store that has not captured its data yet
-// blocks the load (fwdBlock).
-func (c *Core) forwardScan(pos int, word uint64) (val uint64, when int64, status forwardStatus) {
-	for i := pos - 1; i >= 0; i-- {
+// forwardScan looks newest-first through the in-flight writes older than
+// the load with sequence number seq for the given word address. A matching
+// store that has not captured its data yet blocks the load (fwdBlock).
+func (c *Core) forwardScan(seq uint64, word uint64) (val uint64, when int64, status forwardStatus) {
+	first := c.rob.hotAt(0).seq
+	for j := c.writers.countBelow(seq) - 1; j >= 0; j-- {
+		i := int(c.writers.at(j) - first)
 		oh := c.rob.hotAt(i)
 		switch {
 		case oh.op.IsStore():
@@ -198,7 +193,7 @@ func (c *Core) forwardScan(pos int, word uint64) (val uint64, when int64, status
 				return 0, 0, fwdBlock
 			}
 			return o.storeData, oh.readyCycle, fwdHit
-		case oh.op == isa.OpAccel:
+		default:
 			o := c.rob.at(i)
 			if !o.accelStarted {
 				continue
@@ -258,13 +253,14 @@ func (c *Core) dispatch() {
 			state:      sWaiting,
 			readyCycle: c.now,
 		}
-		*e = robEntry{
-			pc:            f.pc,
-			in:            f.in,
-			dispatchCycle: c.now,
-			predTaken:     f.predTaken,
-			predConfident: f.predConfident,
-		}
+		// Clear then fill in place: a composite literal here would be
+		// built in a temporary and block-copied into the slab.
+		*e = robEntry{}
+		e.pc = f.pc
+		e.in = f.in
+		e.dispatchCycle = c.now
+		e.predTaken = f.predTaken
+		e.predConfident = f.predConfident
 		c.seq++
 
 		// Rename sources.
@@ -276,10 +272,9 @@ func (c *Core) dispatch() {
 			}
 			if rn := c.rename[r]; rn.valid {
 				if pi := c.rob.indexOf(rn.seq); pi >= 0 {
-					if ph := c.rob.hotAt(pi); ph.state != sDone {
+					if c.rob.hotAt(pi).state != sDone {
 						e.srcs[i] = operand{producer: rn.seq}
 						h.pendMask |= 1 << uint(i)
-						ph.wakeUses++
 					} else {
 						e.srcs[i] = operand{value: c.rob.at(pi).val}
 					}
@@ -311,6 +306,7 @@ func (c *Core) dispatch() {
 		if f.in.Op.IsMem() {
 			c.lsqCount++
 		}
+		c.enroll(c.rob.len() - 1)
 	}
 }
 

@@ -51,6 +51,12 @@ cmp "$tmp/off.txt" "$tmp/cold.txt"
 cmp "$tmp/cold.txt" "$tmp/warm.txt"
 cmp "$tmp/cold.txt" "$tmp/nofork.txt"
 
+# The committed artifact: stock figures (full size, not -quick) must
+# reproduce figures_output.txt byte for byte, so a change that moves any
+# simulated number fails here rather than only in the benchmark.
+echo "==> figures -fig all matches the committed figures_output.txt"
+"$tmp/figures" -fig all -parallel 8 -no-cache | cmp - figures_output.txt
+
 # The device-engine contract: the devcross study (DAE + loop-accelerator
 # families, engine schedules, DeviceKey-cached runs) is byte-identical
 # with the cache off, cold, and warm.
