@@ -2,6 +2,9 @@ package scenario
 
 import (
 	"testing"
+	"unsafe"
+
+	"repro/internal/workload"
 )
 
 // The cached-vs-uncached pair: BenchmarkRunStatsUncached is the cost of
@@ -53,6 +56,9 @@ func BenchmarkRunStatsWarmDisk(b *testing.B) {
 	}
 }
 
+// BenchmarkDigest is the repeat-digest cost of one spec: the config
+// encoding plus a progDigests memo hit. It never encodes the program;
+// BenchmarkProgramDigest does.
 func BenchmarkDigest(b *testing.B) {
 	spec := baselineSpec(b)
 	b.ReportAllocs()
@@ -60,3 +66,32 @@ func BenchmarkDigest(b *testing.B) {
 		_ = spec.Digest()
 	}
 }
+
+// BenchmarkProgramDigest encodes and hashes one large program per
+// iteration, bypassing the progDigests memo: the cost every distinct
+// program pays once per process. The program is the baseline of
+// loadgen's checkpoint-share heap workload at its default seed (88,876
+// instructions, 2,096 init words); SetBytes counts the in-memory
+// Instruction and MemInit bytes, so MB/s compares across encodings.
+func BenchmarkProgramDigest(b *testing.B) {
+	w, err := workload.Heap(workload.HeapConfig{
+		Operations:    600,
+		FillerPerCall: 40,
+		Prefill:       512,
+		Seed:          7,
+		WarmupFiller:  30000,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := w.Baseline
+	b.SetBytes(int64(len(p.Code))*int64(unsafe.Sizeof(p.Code[0])) +
+		int64(len(p.Init))*int64(unsafe.Sizeof(p.Init[0])))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkDigest = programDigest(p)
+	}
+}
+
+var sinkDigest Digest

@@ -29,28 +29,52 @@ func (d Digest) Short() string { return hex.EncodeToString(d[:6]) }
 // variable-length data (strings, slices) is length-prefixed so
 // adjacent fields cannot alias. Any change to what is written — order,
 // width, field set — must bump SchemeVersion.
+//
+// Fixed-width words collect in buf and reach the hash a 4 KiB chunk at
+// a time, which keeps per-call hash overhead off the per-field path.
+// buf is flushed when full, before every raw Write and in sum, so the
+// hashed byte stream is exactly the concatenation of the writes in
+// order.
 type encoder struct {
 	h   hash.Hash
-	buf [8]byte
+	n   int // bytes of buf in use
+	buf [4096]byte
 }
 
+// encoders recycles encoders: sum returns each one, so a digest costs
+// no 4 KiB allocation (the buffer escapes through the hash.Hash call).
+var encoders = sync.Pool{New: func() any { return &encoder{h: sha256.New()} }}
+
+// newEncoder starts a stream salted with the scheme and record kind.
+// The encoder must not be used after sum.
 func newEncoder(kind string) *encoder {
-	e := &encoder{h: sha256.New()}
+	e := encoders.Get().(*encoder)
+	e.h.Reset()
 	e.str("tca-scenario")
 	e.u64(SchemeVersion)
 	e.str(kind)
 	return e
 }
 
+func (e *encoder) flush() {
+	e.h.Write(e.buf[:e.n])
+	e.n = 0
+}
+
 func (e *encoder) sum() Digest {
+	e.flush()
 	var d Digest
 	e.h.Sum(d[:0])
+	encoders.Put(e)
 	return d
 }
 
 func (e *encoder) u64(v uint64) {
-	binary.LittleEndian.PutUint64(e.buf[:], v)
-	e.h.Write(e.buf[:])
+	if e.n+8 > len(e.buf) {
+		e.flush()
+	}
+	binary.LittleEndian.PutUint64(e.buf[e.n:], v)
+	e.n += 8
 }
 
 func (e *encoder) i64(v int64) { e.u64(uint64(v)) }
@@ -68,6 +92,7 @@ func (e *encoder) bool(b bool) {
 
 func (e *encoder) str(s string) {
 	e.u64(uint64(len(s)))
+	e.flush()
 	io.WriteString(e.h, s)
 }
 
@@ -144,30 +169,37 @@ func (e *encoder) programRef(p *isa.Program) {
 		e.digest(d.(Digest))
 		return
 	}
-	sub := newEncoder("program")
-	sub.program(p)
-	d := sub.sum()
+	d := programDigest(p)
 	progDigests.Store(p, d)
 	e.digest(d)
+}
+
+// programDigest is the program's own content address, computed without
+// the memo.
+func programDigest(p *isa.Program) Digest {
+	e := newEncoder("program")
+	e.program(p)
+	return e.sum()
 }
 
 // digest writes a nested content address, length-prefixed like every
 // other variable-width field.
 func (e *encoder) digest(d Digest) {
 	e.u64(uint64(len(d)))
+	e.flush()
 	e.h.Write(d[:])
 }
 
 // program writes the instruction stream and initial memory image.
-// Labels are diagnostics only and excluded.
+// Labels are diagnostics only and excluded. Each instruction is two
+// words: its five byte-wide fields packed into one, then Imm. Op and
+// Reg are uint8 (TestPackedFieldWidths pins that), so the packing is
+// lossless.
 func (e *encoder) program(p *isa.Program) {
 	e.u64(uint64(len(p.Code)))
 	for _, in := range p.Code {
-		e.u64(uint64(in.Op))
-		e.u64(uint64(in.Dst))
-		e.u64(uint64(in.Src1))
-		e.u64(uint64(in.Src2))
-		e.u64(uint64(in.Src3))
+		e.u64(uint64(in.Op) | uint64(in.Dst)<<8 | uint64(in.Src1)<<16 |
+			uint64(in.Src2)<<24 | uint64(in.Src3)<<32)
 		e.i64(in.Imm)
 	}
 	e.u64(uint64(len(p.Init)))

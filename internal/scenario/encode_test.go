@@ -42,14 +42,14 @@ func TestGoldenDigests(t *testing.T) {
 		mode accel.Mode
 		want string
 	}{
-		{"hp", accel.LT, "50a893eb1c7c21bf48c2261c62823768fef99bbd7a9e77e864bfb5b2b66cf357"},
-		{"hp", accel.NLT, "6bea2a10037e29a4022baa4097100af5fcfdea45921f12938b1793d0df1e7786"},
-		{"hp", accel.LNT, "d50b7f7ada54fd80fedc5852049576b21269ac59ce338b8a2d32bc969bcd97a0"},
-		{"hp", accel.NLNT, "73c408c94121c99a0f501997893cb4acabc2c169ca771a777bac93958b2a981d"},
-		{"lp", accel.LT, "edbaa0136519a2e320b4f36b6d9de0b098bacd6a4dab0c65a8801e2fa32c3f14"},
-		{"lp", accel.NLT, "b5864a7cbbcd623cffba6dcfcccbf9dca4d9c8c8ba862e76b017b983dec2b173"},
-		{"lp", accel.LNT, "1f2bb93c96f9a4d84ea97c1e7e576fa1d2801c6a9937dc9ac62062ebca194dea"},
-		{"lp", accel.NLNT, "41deb0297dc76630019d153a314371c0b2a4155e344cd23b8415a5f5118136b3"},
+		{"hp", accel.LT, "c499acfa3996db8de71fa94d4cb69dfe271377b1d15c7ea3967f70ef70cac7ee"},
+		{"hp", accel.NLT, "8a7c72e1be20b81cb578ff6c21b195379524f7487439a190f222afb7604d3fbc"},
+		{"hp", accel.LNT, "79678b67c03abc8974b8c014d047920c56df94ae7aa71f1a0ed0499e30e45af9"},
+		{"hp", accel.NLNT, "7ba4c5ce072220466903334809e5cce5cd7c4946d451766219aaadaf536bea75"},
+		{"lp", accel.LT, "e0a711323eef7ccb0db455d8832e5d4ced838fc64d5b01efca89cf12212cc1f1"},
+		{"lp", accel.NLT, "92dfba3209012571c52275d6cc198e811df9d4cb8609d1ad13505947bb3645bc"},
+		{"lp", accel.LNT, "3016583ed642d1f53eebe199c0169dbb4ee5cdefdd37125cd11f9c859bc87205"},
+		{"lp", accel.NLNT, "fddb03841181e8814c57e61d0b4da1a097d7cf95b32a5d8b0463b87e316c105f"},
 	}
 	prog := goldenProgram(t)
 	for _, g := range golden {

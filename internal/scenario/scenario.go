@@ -37,7 +37,9 @@ import (
 // v3: the device-engine refactor — new Stats fields (AccelPhases,
 // AccelOverlapCycles) and the first engine device families (DAE, loop
 // nest) changed the cached payload layout.
-const SchemeVersion = 3
+// v4: each instruction is hashed as two words — Op, Dst, Src1, Src2
+// and Src3 packed into one, then Imm — instead of six.
+const SchemeVersion = 4
 
 // Spec canonically describes one simulator run.
 type Spec struct {

@@ -68,7 +68,7 @@ func (c *Client) post(ctx context.Context, path string, req, resp any) error {
 	if err != nil {
 		return fmt.Errorf("client: %s: %w", path, err)
 	}
-	defer hresp.Body.Close()
+	defer drainClose(hresp.Body)
 	if hresp.StatusCode != http.StatusOK {
 		return decodeError(hresp)
 	}
@@ -78,6 +78,17 @@ func (c *Client) post(ctx context.Context, path string, req, resp any) error {
 	return nil
 }
 
+// drainClose reads what is left of a response body, up to a bound, and
+// closes it. A JSON decoder stops at the end of its value, leaving the
+// encoder's trailing newline and the chunked terminator unread; the
+// transport reuses a connection only if its body was read to EOF. The
+// bound keeps an oversized reply from being read only to be discarded.
+func drainClose(body io.ReadCloser) {
+	io.Copy(io.Discard, io.LimitReader(body, 1<<16))
+	body.Close()
+}
+
+// decodeError reads a non-2xx reply; the caller drains and closes it.
 func decodeError(hresp *http.Response) error {
 	var er serve.ErrorResponse
 	if err := json.NewDecoder(io.LimitReader(hresp.Body, 1<<16)).Decode(&er); err != nil || er.Error == "" {
@@ -118,7 +129,7 @@ func (c *Client) Metrics(ctx context.Context) (serve.MetricsSnapshot, error) {
 	if err != nil {
 		return snap, fmt.Errorf("client: /metrics: %w", err)
 	}
-	defer hresp.Body.Close()
+	defer drainClose(hresp.Body)
 	if hresp.StatusCode != http.StatusOK {
 		return snap, decodeError(hresp)
 	}
@@ -138,8 +149,7 @@ func (c *Client) Health(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("client: /healthz: %w", err)
 	}
-	io.Copy(io.Discard, hresp.Body)
-	hresp.Body.Close()
+	drainClose(hresp.Body)
 	if hresp.StatusCode != http.StatusOK {
 		return &StatusError{Status: hresp.StatusCode, Message: "healthz failed"}
 	}
