@@ -114,7 +114,9 @@ func MeasureWorkloadParallel(cfg sim.Config, w *workload.Workload, parallel int)
 // shared between sweeps still executes only once. A nil store executes
 // everything directly. Any store state and any worker count produce
 // bit-identical results: the five runs are independent, each building
-// its own core, memory image, and device.
+// its own core, memory image, and device. The up-front workload check is
+// structural, so a store hit touches no instruction; a program that
+// breaks an ISA invariant is rejected by sim.New when a run executes it.
 func MeasureWorkloadStore(store *scenario.Store, cfg sim.Config, w *workload.Workload, parallel int) (*WorkloadResult, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err

@@ -59,7 +59,8 @@ func StaticPredictWorkload(cfg sim.Config, w *workload.Workload) (*staticmodel.P
 // StaticPredictWorkloadStore is StaticPredictWorkload through a scenario
 // store: predictions cache by the same canonical (config, workload)
 // digest that keys the point's full measurement. A nil store computes
-// directly.
+// directly. As in MeasureWorkloadStore the workload check is structural;
+// staticmodel.NewProfile validates each program on a miss.
 func StaticPredictWorkloadStore(store *scenario.Store, cfg sim.Config, w *workload.Workload) (*staticmodel.Prediction, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err

@@ -194,10 +194,38 @@ func TestValidateRejectsBadPrograms(t *testing.T) {
 			{Op: OpLoad, Dst: R(1), Src1: F(0)},
 			{Op: OpHalt},
 		}}},
+		{"fp-dst-out-of-range", Program{Code: []Instruction{
+			{Op: OpFAdd, Dst: 200, Src1: F(1), Src2: F(2)},
+			{Op: OpHalt},
+		}}},
+		{"accel-src-out-of-range", Program{Code: []Instruction{
+			{Op: OpAccel, Dst: R(1), Src1: R(2), Src2: NumRegs},
+			{Op: OpHalt},
+		}}},
 	}
 	for _, c := range cases {
 		if err := c.prog.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted invalid program", c.name)
+		}
+	}
+}
+
+// TestOperandTableMatchesUse: a register field Validate leaves unchecked
+// is one no executor reads or writes. For every opcode, the fields the
+// operand table classes are exactly the fields HasDst and SourcesInto
+// report, so a validated program can never index a register file out of
+// range.
+func TestOperandTableMatchesUse(t *testing.T) {
+	for op := Op(0); op < numOps; op++ {
+		in := Instruction{Op: op, Dst: R(1), Src1: R(2), Src2: R(3), Src3: R(4)}
+		used := [4]bool{in.HasDst()}
+		for _, r := range in.SourcesInto(nil) {
+			used[r-R(1)] = true
+		}
+		for i, o := range operands[op] {
+			if (o != noReg) != used[i] {
+				t.Errorf("%s field %d: table class %d, executors use it: %v", op, i, o, used[i])
+			}
 		}
 	}
 }

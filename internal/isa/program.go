@@ -39,9 +39,11 @@ func (p *Program) NewMemoryImage() *Memory {
 	return m
 }
 
-// Validate checks structural invariants: branch targets in range, register
-// classes consistent with opcodes, and a reachable halt. It returns the
-// first violation found.
+// Validate checks structural invariants: branch targets in range, every
+// register field an opcode uses in range and of its class, and a halt. It
+// returns the first violation found. Builder.Build validates every program
+// it makes, and the executors (sim.New, staticmodel.NewProfile) validate
+// again before running one; nothing in between re-walks the code.
 func (p *Program) Validate() error {
 	n := len(p.Code)
 	if n == 0 {
@@ -60,7 +62,7 @@ func (p *Program) Validate() error {
 				return fmt.Errorf("isa: @%d: branch target %d out of range [0,%d)", i, in.Imm, n)
 			}
 		}
-		if err := checkRegClasses(in); err != nil {
+		if err := regClassError(in); err != nil {
 			return fmt.Errorf("isa: @%d (%s): %w", i, in, err)
 		}
 	}
@@ -70,76 +72,89 @@ func (p *Program) Validate() error {
 	return nil
 }
 
-func checkRegClasses(in Instruction) error {
-	wantFP := func(r Reg, what string) error {
-		if !r.IsFP() {
-			return fmt.Errorf("%s must be an fp register, got %s", what, r)
+// regClass is the register file an operand field must name.
+type regClass uint8
+
+const (
+	noReg  regClass = iota // field not read or written by the opcode
+	intReg                 // r0..r31
+	fpReg                  // f0..f31
+	anyReg                 // any architectural register
+)
+
+// classRange is each class's register range [lo, lo+span], checked with
+// one wrapping subtraction; noReg admits every byte.
+var classRange = [...]struct{ lo, span Reg }{
+	noReg:  {0, 255},
+	intReg: {0, NumIntRegs - 1},
+	fpReg:  {NumIntRegs, NumFPRegs - 1},
+	anyReg: {0, NumRegs - 1},
+}
+
+var classNames = [...]string{intReg: "an integer register", fpReg: "an fp register", anyReg: "a register"}
+
+// operands gives, per opcode, the class of Dst, Src1, Src2 and Src3 in
+// that order. A field an executor reads (Instruction.HasDst and
+// SourcesInto, the simulator's source mask) is never noReg here, so a
+// validated program never indexes a register file out of range.
+var operands = [numOps][4]regClass{
+	OpMovI:   {intReg},
+	OpAddI:   {intReg, intReg},
+	OpAdd:    intALU,
+	OpSub:    intALU,
+	OpMul:    intALU,
+	OpDiv:    intALU,
+	OpRem:    intALU,
+	OpAnd:    intALU,
+	OpOr:     intALU,
+	OpXor:    intALU,
+	OpShl:    intALU,
+	OpShr:    intALU,
+	OpSlt:    intALU,
+	OpFMovI:  {fpReg},
+	OpFAdd:   fpALU,
+	OpFSub:   fpALU,
+	OpFMul:   fpALU,
+	OpFDiv:   fpALU,
+	OpFMA:    {fpReg, fpReg, fpReg, fpReg},
+	OpLoad:   {intReg, intReg},
+	OpStore:  {noReg, intReg, intReg},
+	OpFLoad:  {fpReg, intReg},
+	OpFStore: {noReg, intReg, fpReg},
+	OpBeq:    intBranch,
+	OpBne:    intBranch,
+	OpBlt:    intBranch,
+	OpBge:    intBranch,
+	OpAccel:  {anyReg, anyReg, anyReg, anyReg},
+}
+
+var (
+	intALU    = [4]regClass{intReg, intReg, intReg}
+	fpALU     = [4]regClass{fpReg, fpReg, fpReg}
+	intBranch = [4]regClass{noReg, intReg, intReg}
+)
+
+// regClassError names the first register field of in outside its class.
+func regClassError(in Instruction) error {
+	for i, r := range [4]Reg{in.Dst, in.Src1, in.Src2, in.Src3} {
+		c := operands[in.Op][i]
+		if b := classRange[c]; r-b.lo > b.span {
+			return fmt.Errorf("%s must be %s, got %s", operandName(in.Op, i), classNames[c], r)
 		}
-		return nil
-	}
-	wantInt := func(r Reg, what string) error {
-		if r.IsFP() {
-			return fmt.Errorf("%s must be an integer register, got %s", what, r)
-		}
-		return nil
-	}
-	switch in.Op {
-	case OpFMovI:
-		return wantFP(in.Dst, "dst")
-	case OpFAdd, OpFSub, OpFMul, OpFDiv:
-		for _, c := range []struct {
-			r    Reg
-			what string
-		}{{in.Dst, "dst"}, {in.Src1, "src1"}, {in.Src2, "src2"}} {
-			if err := wantFP(c.r, c.what); err != nil {
-				return err
-			}
-		}
-	case OpFMA:
-		for _, c := range []struct {
-			r    Reg
-			what string
-		}{{in.Dst, "dst"}, {in.Src1, "src1"}, {in.Src2, "src2"}, {in.Src3, "src3"}} {
-			if err := wantFP(c.r, c.what); err != nil {
-				return err
-			}
-		}
-	case OpFLoad:
-		if err := wantFP(in.Dst, "dst"); err != nil {
-			return err
-		}
-		return wantInt(in.Src1, "base")
-	case OpFStore:
-		if err := wantFP(in.Src2, "value"); err != nil {
-			return err
-		}
-		return wantInt(in.Src1, "base")
-	case OpLoad:
-		if err := wantInt(in.Dst, "dst"); err != nil {
-			return err
-		}
-		return wantInt(in.Src1, "base")
-	case OpStore:
-		if err := wantInt(in.Src2, "value"); err != nil {
-			return err
-		}
-		return wantInt(in.Src1, "base")
-	case OpMovI, OpAddI, OpAdd, OpSub, OpMul, OpDiv, OpRem,
-		OpAnd, OpOr, OpXor, OpShl, OpShr, OpSlt:
-		if err := wantInt(in.Dst, "dst"); err != nil {
-			return err
-		}
-		if err := wantInt(in.Src1, "src1"); err != nil {
-			return err
-		}
-		return wantInt(in.Src2, "src2")
-	case OpBeq, OpBne, OpBlt, OpBge:
-		if err := wantInt(in.Src1, "src1"); err != nil {
-			return err
-		}
-		return wantInt(in.Src2, "src2")
 	}
 	return nil
+}
+
+// operandName names field i (Dst, Src1, Src2, Src3) in error messages;
+// memory ops call Src1 the base and Src2 the stored value.
+func operandName(op Op, i int) string {
+	if op.IsMem() && i == 1 {
+		return "base"
+	}
+	if op.IsStore() && i == 2 {
+		return "value"
+	}
+	return [...]string{"dst", "src1", "src2", "src3"}[i]
 }
 
 // Disassemble renders the whole program, one instruction per line, with

@@ -107,8 +107,10 @@ func (p *Pool) worker() {
 		}
 		it := heap.Pop(&p.queue).(poolItem)
 		p.mu.Unlock()
-		it.job(false)
+		// Counted before the job runs: a job's completion can release a
+		// reply, and Metrics read after that reply must include it.
 		p.executed.Add(1)
+		it.job(false)
 	}
 }
 
@@ -145,8 +147,10 @@ func (p *Pool) push(priority int, job PoolJob, bounded bool) error {
 	if len(p.queue) > p.peak {
 		p.peak = len(p.queue)
 	}
-	p.mu.Unlock()
+	// Counted under the lock, before any worker can pop the job, so
+	// Executed never runs ahead of Submitted.
 	p.submitted.Add(1)
+	p.mu.Unlock()
 	p.cond.Signal()
 	return nil
 }
@@ -191,9 +195,12 @@ func (p *Pool) Metrics() PoolMetrics {
 	p.mu.Lock()
 	qlen, peak := len(p.queue), p.peak
 	p.mu.Unlock()
+	// Executed is read first: every job it counts was counted as
+	// submitted before a worker could pop it, so Executed <= Submitted.
+	executed := p.executed.Load()
 	return PoolMetrics{
 		Submitted:  p.submitted.Load(),
-		Executed:   p.executed.Load(),
+		Executed:   executed,
 		Rejected:   p.rejected.Load(),
 		Cancelled:  p.cancelled.Load(),
 		QueueLen:   qlen,

@@ -33,6 +33,43 @@ func TestPoolExecutesAll(t *testing.T) {
 	}
 }
 
+// TestPoolMetricsExecutedNotAheadOfSubmitted: a Metrics snapshot taken
+// anywhere, including by a running job, never shows more jobs executed
+// than submitted, and a running job always sees itself executed.
+func TestPoolMetricsExecutedNotAheadOfSubmitted(t *testing.T) {
+	p := NewPool(4, 0)
+	var bad atomic.Int64
+	check := func(m PoolMetrics, self int64) {
+		if m.Executed > m.Submitted || m.Executed < self {
+			bad.Add(1)
+		}
+	}
+	var jobs, submitters sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		submitters.Add(1)
+		go func() {
+			defer submitters.Done()
+			for i := 0; i < 500; i++ {
+				jobs.Add(1)
+				if err := p.SubmitAdmitted(0, func(cancelled bool) {
+					defer jobs.Done()
+					check(p.Metrics(), 1)
+				}); err != nil {
+					jobs.Done()
+					bad.Add(1)
+				}
+				check(p.Metrics(), 0)
+			}
+		}()
+	}
+	submitters.Wait()
+	jobs.Wait()
+	p.Close()
+	if n := bad.Load(); n != 0 {
+		t.Fatalf("%d snapshots with Executed ahead of Submitted (or a job missing itself)", n)
+	}
+}
+
 // TestPoolQueueBound: with workers wedged, submissions past the depth
 // bound fail fast with ErrQueueFull and nothing blocks.
 func TestPoolQueueBound(t *testing.T) {

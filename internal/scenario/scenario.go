@@ -110,7 +110,9 @@ type MeasureSpec struct {
 	MaxCycles int64
 }
 
-// Validate reports spec errors.
+// Validate reports spec errors. Its checks are structural and O(1): it
+// never walks the workload's programs, which are validated where they are
+// built and again by the simulator that runs them.
 func (ms MeasureSpec) Validate() error {
 	if ms.Workload == nil {
 		return fmt.Errorf("scenario: nil workload")

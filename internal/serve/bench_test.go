@@ -27,10 +27,12 @@ func benchDaemon(b *testing.B, opts serve.Options) (*serve.Server, *client.Clien
 }
 
 // BenchmarkScenariodThroughput measures end-to-end daemon request cost
-// in three regimes: cold (every request a distinct spec — simulation
+// in five regimes: cold (every request a distinct spec — simulation
 // dominates), warm (every request a store memory hit — HTTP round-trip
-// dominates), and duplicate-heavy (8 concurrent clients racing for one
-// digest — the coalescing path).
+// dominates), measure-hit and static-hit (the same memory hit on the
+// /v1/measure and /v1/static endpoints, so any per-request work that
+// grows with the program shows here), and duplicate-heavy (8 concurrent
+// clients racing for one digest — the coalescing path).
 func BenchmarkScenariodThroughput(b *testing.B) {
 	ctx := context.Background()
 
@@ -58,6 +60,38 @@ func BenchmarkScenariodThroughput(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := cl.Run(ctx, req); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
+	b.Run("measure-hit", func(b *testing.B) {
+		_, cl, stop := benchDaemon(b, serve.Options{Workers: 2})
+		defer stop()
+		req := serve.MeasureRequest{Config: sim.HighPerfConfig(), Workload: synthSpec(1)}
+		if _, err := cl.Measure(ctx, req); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := cl.Measure(ctx, req); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
+	b.Run("static-hit", func(b *testing.B) {
+		_, cl, stop := benchDaemon(b, serve.Options{Workers: 2})
+		defer stop()
+		req := serve.StaticRequest{Config: sim.HighPerfConfig(), Workload: synthSpec(1)}
+		if _, err := cl.Static(ctx, req); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := cl.Static(ctx, req); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -36,6 +36,64 @@ func postRun(t *testing.T, url string, req RunRequest) (int, string) {
 	return resp.StatusCode, er.Error
 }
 
+// wireKinds is every workload kind WorkloadSpec.Build accepts.
+var wireKinds = []string{
+	"synthetic", "heap", "matmul", "kvstore",
+	"stringmatch", "regexmatch", "multitca",
+	"daestream", "loopnest",
+}
+
+// TestWireKindsBuildValidPrograms: every generator behind a wire kind,
+// at its test config and (synthetic, heap) at the load generator's
+// sizes, returns programs that pass Program.Validate. Workload.Validate
+// and the daemon's request checks are structural and rely on this: the
+// programs a request names are valid because isa.Builder.Build validated
+// them when it made them.
+func TestWireKindsBuildValidPrograms(t *testing.T) {
+	multi := workload.DefaultMultiTCA()
+	specs := []WorkloadSpec{
+		{Kind: "synthetic", Synthetic: &workload.SyntheticConfig{
+			Units: 50, UnitLen: 20, Regions: 10, RegionLen: 30, AccelLatency: 12, Seed: 1}},
+		{Kind: "synthetic", Synthetic: &workload.SyntheticConfig{
+			Units: 2000, UnitLen: 40, Regions: 40, RegionLen: 60, AccelLatency: 12, Seed: 1}},
+		{Kind: "heap", Heap: &workload.HeapConfig{Operations: 40, FillerPerCall: 5, Prefill: 64, Seed: 3}},
+		{Kind: "heap", Heap: &workload.HeapConfig{
+			Operations: 600, FillerPerCall: 40, Prefill: 512, Seed: 7, WarmupFiller: 30000}},
+		{Kind: "matmul", MatMul: &workload.MatMulConfig{N: 16, Block: 8, Tile: 4, Seed: 2}},
+		{Kind: "kvstore", KVStore: &workload.KVStoreConfig{
+			Operations: 150, FillerPerOp: 15, Buckets: 256, Keys: 100, LookupPct: 70, Seed: 5}},
+		{Kind: "stringmatch", StringMatch: &workload.StringMatchConfig{
+			Comparisons: 120, FillerPerOp: 10, Dictionary: 24, MinWords: 3, MaxWords: 20, SharedPrefix: 2, Seed: 8}},
+		{Kind: "regexmatch", RegexMatch: &workload.RegexMatchConfig{
+			Pattern: "[ab]*abb", Matches: 100, FillerPerOp: 10, Inputs: 20, MaxLen: 24, Seed: 6}},
+		{Kind: "multitca", MultiTCA: &multi},
+		{Kind: "daestream", DAEStream: &workload.DAEStreamConfig{
+			Streams: 12, WordsPerStream: 20, FillerPerOp: 25, ChunkWords: 8, ComputePerChunk: 6, Startup: 15, Seed: 7}},
+		{Kind: "loopnest", LoopNest: &workload.LoopNestConfig{
+			Calls: 15, FillerPerOp: 25, Trips: 4, Depth: 3, IterLatency: 2, ConfigLatency: 40, Seed: 8}},
+	}
+	covered := make(map[string]bool)
+	for _, spec := range specs {
+		covered[spec.Kind] = true
+		w, err := spec.Build()
+		if err != nil {
+			t.Errorf("%s: %v", spec.Kind, err)
+			continue
+		}
+		if err := w.Baseline.Validate(); err != nil {
+			t.Errorf("%s baseline: %v", spec.Kind, err)
+		}
+		if err := w.Accelerated.Validate(); err != nil {
+			t.Errorf("%s accelerated: %v", spec.Kind, err)
+		}
+	}
+	for _, kind := range wireKinds {
+		if !covered[kind] {
+			t.Errorf("kind %q has no generator config here", kind)
+		}
+	}
+}
+
 // TestWireKindConfigRequired: every wire kind names exactly one config
 // field; a spec that selects a kind but omits its config is rejected
 // with 400 and an error naming the kind, before any scheduling.
@@ -44,12 +102,7 @@ func TestWireKindConfigRequired(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	kinds := []string{
-		"synthetic", "heap", "matmul", "kvstore",
-		"stringmatch", "regexmatch", "multitca",
-		"daestream", "loopnest",
-	}
-	for _, kind := range kinds {
+	for _, kind := range wireKinds {
 		code, msg := postRun(t, ts.URL, RunRequest{
 			Config:   sim.HighPerfConfig(),
 			Workload: WorkloadSpec{Kind: kind},

@@ -316,6 +316,28 @@ func TestSimRejectsAccelWithoutDevice(t *testing.T) {
 	}
 }
 
+// TestSimRejectsOutOfRangeRegister: a hand-assembled program naming a
+// register past the 64-entry file is refused by New with an error; it
+// never reaches the pipeline, where it would index the rename table and
+// register file out of range.
+func TestSimRejectsOutOfRangeRegister(t *testing.T) {
+	progs := map[string]*isa.Program{
+		"fp-dst-200": {Code: []isa.Instruction{
+			{Op: isa.OpFAdd, Dst: 200, Src1: isa.F(1), Src2: isa.F(2)},
+			{Op: isa.OpHalt},
+		}},
+		"accel-src-64": {Code: []isa.Instruction{
+			{Op: isa.OpAccel, Dst: isa.R(1), Src1: isa.R(2), Src2: isa.NumRegs},
+			{Op: isa.OpHalt},
+		}},
+	}
+	for name, p := range progs {
+		if _, err := New(HighPerfConfig(), p, accel.NewFixedLatency(3)); err == nil {
+			t.Errorf("%s: New accepted a program with an out-of-range register", name)
+		}
+	}
+}
+
 func TestSimCycleLimit(t *testing.T) {
 	core, _ := New(HighPerfConfig(), sumProgram(100000), nil)
 	if _, err := core.Run(100); err == nil {
