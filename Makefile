@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test race bench bench-json figures lint
+.PHONY: check build test race bench figures lint
 
 # The full verification gate: vet + lint + build + race-enabled test suite.
 check:
@@ -21,14 +21,6 @@ race:
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x .
-
-# Machine-readable benchmark summary (ns/op, B/op, allocs/op per bench)
-# across the figure suite, the simulator's per-stage microbenchmarks, the
-# scenario store's cached-vs-uncached and forked-vs-direct pairs, the
-# scenariod cold/warm/duplicate-heavy request regimes, and the analyzer's
-# full-repository run.
-bench-json:
-	$(GO) run ./cmd/benchjson -bench . -pkg ./... -benchtime 1x -out BENCH_PR10.json
 
 figures:
 	$(GO) run ./cmd/figures -fig all

@@ -362,6 +362,53 @@ func BenchmarkSimulator(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulatorAccel measures simulation throughput on the same
+// synthetic workload's accelerated program with a 12-cycle fixed-latency
+// device: the store, accelerator-hazard and NT dispatch-barrier paths
+// BenchmarkSimulator's device-free baseline never reaches. The cases are
+// the HP core in L_T and NL_NT and the LP core in L_T.
+func BenchmarkSimulatorAccel(b *testing.B) {
+	w, err := workload.Synthetic(workload.SyntheticConfig{
+		Units: 400, UnitLen: 25, Regions: 20, RegionLen: 60, AccelLatency: 12, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  sim.Config
+		mode accel.Mode
+	}{
+		{"HP-L_T", sim.HighPerfConfig(), accel.LT},
+		{"HP-NL_NT", sim.HighPerfConfig(), accel.NLNT},
+		{"LP-L_T", sim.LowPerfConfig(), accel.LT},
+	} {
+		cfg := tc.cfg
+		cfg.Mode = tc.mode
+		b.Run(tc.name, func(b *testing.B) {
+			var instr uint64
+			var cycles int64
+			for i := 0; i < b.N; i++ {
+				c, err := sim.New(cfg, w.Accelerated, accel.NewFixedLatency(12))
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := c.Run(1 << 40)
+				if err != nil {
+					b.Fatal(err)
+				}
+				instr += res.Stats.Committed
+				cycles += res.Stats.Cycles
+			}
+			b.StopTimer()
+			if sec := b.Elapsed().Seconds(); sec > 0 {
+				b.ReportMetric(float64(instr)/sec/1e6, "Minstr/s")
+				b.ReportMetric(float64(cycles)/sec/1e6, "Mcycles/s")
+			}
+		})
+	}
+}
+
 // BenchmarkStaticRank measures the analytical fast-path tier ranking a
 // 1000-point design space of the BenchmarkSimulator workload: profile
 // the baseline and accelerated programs once (one O(N) walk each), then
@@ -440,7 +487,10 @@ func BenchmarkInterpreter(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		it := isa.NewInterp(w.Baseline, nil)
+		it, err := isa.NewInterp(w.Baseline, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if err := it.Run(1 << 40); err != nil {
 			b.Fatal(err)
 		}

@@ -9,10 +9,10 @@
 // Patterns default to ./... and support the "./dir/..." form. Output is one
 // compiler-style line per finding (file:line:col: message [RULE]); -explain
 // adds the interprocedural call chain under each finding that has one. With
-// -json a machine-readable summary in the style of cmd/benchjson is written
-// to stdout instead, including censuses of every //lint:ignore suppression
-// and every //lint:exempt-field manifest entry. -suppressions prints both
-// censuses human-readably and exits 0.
+// -json a machine-readable summary is written to stdout instead, including
+// censuses of every //lint:ignore suppression and every //lint:exempt-field
+// manifest entry. -suppressions prints both censuses human-readably and
+// exits 0.
 //
 // -baseline compares the census totals against a committed baseline file
 // (lint_baseline.json at the repo root): any drift — a new suppression or
@@ -92,7 +92,7 @@ type Exemptions struct {
 	Sites  []JSONExemption `json:"sites"`
 }
 
-// Summary is the -json file layout, mirroring cmd/benchjson's envelope.
+// Summary is the -json file layout.
 type Summary struct {
 	Tool         string           `json:"tool"`
 	GoVersion    string           `json:"go_version"`

@@ -91,9 +91,14 @@ func (it *Interp) RangeTotal() uint64 {
 	return total
 }
 
-// NewInterp prepares an interpreter over a fresh memory image of prog.
-func NewInterp(prog *Program, dev AccelDevice) *Interp {
-	return &Interp{Prog: prog, Mem: prog.NewMemoryImage(), Accel: dev}
+// NewInterp validates prog and prepares an interpreter over a fresh memory
+// image of it. Like sim.New, it refuses a program Validate rejects rather
+// than run it into an out-of-range register or branch.
+func NewInterp(prog *Program, dev AccelDevice) (*Interp, error) {
+	if err := prog.Validate(); err != nil {
+		return nil, err
+	}
+	return &Interp{Prog: prog, Mem: prog.NewMemoryImage(), Accel: dev}, nil
 }
 
 // Reg reads an architectural register (R0 reads as zero).

@@ -24,7 +24,10 @@ func buildSumLoop(n int64) *Program {
 
 func TestInterpSumLoop(t *testing.T) {
 	prog := buildSumLoop(100)
-	it := NewInterp(prog, nil)
+	it, err := NewInterp(prog, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := it.Run(100000); err != nil {
 		t.Fatal(err)
 	}
@@ -48,8 +51,11 @@ func TestInterpFuel(t *testing.T) {
 	b.Jmp("spin")
 	b.Halt()
 	prog := b.MustBuild()
-	it := NewInterp(prog, nil)
-	err := it.Run(1000)
+	it, err := NewInterp(prog, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = it.Run(1000)
 	if !errors.Is(err, ErrFuelExhausted) {
 		t.Errorf("err = %v, want ErrFuelExhausted", err)
 	}
@@ -63,7 +69,10 @@ func TestInterpRZero(t *testing.T) {
 	b.MovI(RZero, 77) // write discarded
 	b.AddI(R(1), RZero, 5)
 	b.Halt()
-	it := NewInterp(b.MustBuild(), nil)
+	it, err := NewInterp(b.MustBuild(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := it.Run(100); err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +99,10 @@ func TestInterpFloatKernel(t *testing.T) {
 	b.MovI(R(11), 0x300)
 	b.FStore(F(0), R(11), 0)
 	b.Halt()
-	it := NewInterp(b.MustBuild(), nil)
+	it, err := NewInterp(b.MustBuild(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := it.Run(1000); err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +118,10 @@ func TestInterpAccelWithoutDevice(t *testing.T) {
 	b := NewBuilder()
 	b.Accel(R(1), 0)
 	b.Halt()
-	it := NewInterp(b.MustBuild(), nil)
+	it, err := NewInterp(b.MustBuild(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := it.Run(10); err == nil {
 		t.Error("expected error for accel without device")
 	}
@@ -136,7 +151,10 @@ func TestInterpAccelInvocation(t *testing.T) {
 	b.Accel(R(4), 2, R(1), R(2), R(3))
 	b.Halt()
 	dev := &echoDevice{}
-	it := NewInterp(b.MustBuild(), dev)
+	it, err := NewInterp(b.MustBuild(), dev)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := it.Run(100); err != nil {
 		t.Fatal(err)
 	}

@@ -42,8 +42,8 @@ func (p *Program) NewMemoryImage() *Memory {
 // Validate checks structural invariants: branch targets in range, every
 // register field an opcode uses in range and of its class, and a halt. It
 // returns the first violation found. Builder.Build validates every program
-// it makes, and the executors (sim.New, staticmodel.NewProfile) validate
-// again before running one; nothing in between re-walks the code.
+// it makes, and the executors (sim.New, NewInterp, staticmodel.NewProfile)
+// validate again before running one; nothing in between re-walks the code.
 func (p *Program) Validate() error {
 	n := len(p.Code)
 	if n == 0 {
@@ -62,8 +62,8 @@ func (p *Program) Validate() error {
 				return fmt.Errorf("isa: @%d: branch target %d out of range [0,%d)", i, in.Imm, n)
 			}
 		}
-		if err := regClassError(in); err != nil {
-			return fmt.Errorf("isa: @%d (%s): %w", i, in, err)
+		if !regsInClass(in) {
+			return fmt.Errorf("isa: @%d (%s): %w", i, in, regClassError(in))
 		}
 	}
 	if !sawHalt {
@@ -133,6 +133,27 @@ var (
 	fpALU     = [4]regClass{fpReg, fpReg, fpReg}
 	intBranch = [4]regClass{noReg, intReg, intReg}
 )
+
+// fieldRange is operands with each class replaced by its classRange, per
+// opcode; it spans every byte so regsInClass indexes it without a bounds
+// check (Validate rejects opcodes past numOps first).
+var fieldRange = func() (t [256][4]struct{ lo, span Reg }) {
+	for op, cls := range operands {
+		for i, c := range cls {
+			t[op][i] = classRange[c]
+		}
+	}
+	return t
+}()
+
+// regsInClass reports whether every register field of in lies in its
+// class. It is the inlinable fast path of Validate's loop; regClassError
+// names the offending field once it fails.
+func regsInClass(in Instruction) bool {
+	r := &fieldRange[in.Op]
+	return in.Dst-r[0].lo <= r[0].span && in.Src1-r[1].lo <= r[1].span &&
+		in.Src2-r[2].lo <= r[2].span && in.Src3-r[3].lo <= r[3].span
+}
 
 // regClassError names the first register field of in outside its class.
 func regClassError(in Instruction) error {

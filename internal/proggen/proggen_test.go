@@ -12,7 +12,10 @@ func TestGenerateProducesValidPrograms(t *testing.T) {
 		if err := prog.Validate(); err != nil {
 			t.Fatalf("seed %d: invalid program: %v", seed, err)
 		}
-		it := isa.NewInterp(prog, nil)
+		it, err := isa.NewInterp(prog, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := it.Run(10_000_000); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

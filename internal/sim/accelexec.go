@@ -54,7 +54,7 @@ func (c *Core) buildOverlay(seq uint64) *overlayReader {
 	for j, n := 0, c.writers.countBelow(seq); j < n; j++ {
 		i := int(c.writers.at(j) - first)
 		switch oh := c.rob.hotAt(i); {
-		case oh.op.IsStore():
+		case oh.fl&flStore != 0:
 			if e := c.rob.at(i); e.addrKnown {
 				o.pending[e.addr>>3] = e.storeData
 			}

@@ -338,26 +338,6 @@ func A72Config() Config {
 	return c
 }
 
-// opLatency returns the execution latency of non-memory, non-accel ops.
-func (c *Config) opLatency(op isa.Op) int {
-	switch op {
-	case isa.OpMul:
-		return c.IntMulLatency
-	case isa.OpDiv, isa.OpRem:
-		return c.IntDivLatency
-	case isa.OpFAdd, isa.OpFSub, isa.OpFMovI:
-		return c.FPAddLatency
-	case isa.OpFMul:
-		return c.FPMulLatency
-	case isa.OpFMA:
-		return c.FMALatency
-	case isa.OpFDiv:
-		return c.FPDivLatency
-	default:
-		return 1
-	}
-}
-
 // fuClass enumerates functional unit classes.
 type fuClass uint8
 
@@ -369,22 +349,46 @@ const (
 	numFUClasses
 )
 
-// fuFor maps opcodes to functional units. Loads and stores use memory
-// ports; branches and simple integer ops use ALUs.
-func fuFor(op isa.Op) fuClass {
-	switch {
-	case op.IsMem():
-		return fuMem
-	case op == isa.OpMul || op == isa.OpDiv || op == isa.OpRem:
-		return fuMul
-	case op.IsFP():
-		return fuFP
-	default:
-		return fuALU
-	}
+// execInfo is how a non-memory, non-accel opcode executes: its latency,
+// its functional-unit class, and whether it occupies the unit for the full
+// latency (unpipelined) rather than one cycle.
+type execInfo struct {
+	lat         int64
+	fu          fuClass
+	unpipelined bool
 }
 
-// unpipelined reports whether the op occupies its unit for its full latency.
-func unpipelined(op isa.Op) bool {
-	return op == isa.OpDiv || op == isa.OpRem || op == isa.OpFDiv
+// execTable returns every opcode's execInfo under this configuration; a
+// Core builds it once in New. Loads and stores use memory ports; branches
+// and simple integer ops use ALUs at latency 1.
+func (c *Config) execTable() (t [256]execInfo) {
+	for i := range t {
+		op := isa.Op(i)
+		x := execInfo{lat: 1, fu: fuALU}
+		switch op {
+		case isa.OpMul:
+			x.lat = int64(c.IntMulLatency)
+		case isa.OpDiv, isa.OpRem:
+			x.lat = int64(c.IntDivLatency)
+		case isa.OpFAdd, isa.OpFSub, isa.OpFMovI:
+			x.lat = int64(c.FPAddLatency)
+		case isa.OpFMul:
+			x.lat = int64(c.FPMulLatency)
+		case isa.OpFMA:
+			x.lat = int64(c.FMALatency)
+		case isa.OpFDiv:
+			x.lat = int64(c.FPDivLatency)
+		}
+		switch {
+		case op.IsMem():
+			x.fu = fuMem
+		case op == isa.OpMul || op == isa.OpDiv || op == isa.OpRem:
+			x.fu = fuMul
+		case op.IsFP():
+			x.fu = fuFP
+		}
+		x.unpipelined = op == isa.OpDiv || op == isa.OpRem || op == isa.OpFDiv
+		t[i] = x
+	}
+	return t
 }

@@ -66,7 +66,7 @@ type Core struct {
 
 	// Issue-scheduler state derived from the ROB (sched.go). Restore
 	// rebuilds it from the slabs; a Checkpoint never carries it.
-	ready    []uint64           // issue candidates, oldest first
+	ready    []uint64           // issue candidates, one bit per ROB slot
 	consHead []int32            // per ROB slot: newest operand waiting on its result
 	consNext []int32            // per operand link: next older operand in its list
 	writers  seqRing            // in-flight stores and TCA calls, oldest first
@@ -97,6 +97,7 @@ type Core struct {
 	barrierSeq    uint64
 	barrierActive bool
 
+	exec         [256]execInfo         // per opcode, from cfg (Config.execTable)
 	fu           [numFUClasses][]int64 // per-unit next-free cycle
 	ports        []int64               // memory port next-free cycles
 	tcaBusyUntil int64
@@ -163,6 +164,7 @@ func New(cfg Config, prog *isa.Program, dev isa.AccelDevice) (*Core, error) {
 		pred: pred,
 		rob:  newROBQueue(cfg.ROBSize),
 	}
+	c.exec = cfg.execTable()
 	c.curFetchLine = -1
 	c.pauseAt = horizonNever
 	// Compaction keeps the live window within one capacity of the head,
@@ -180,10 +182,10 @@ func New(cfg Config, prog *isa.Program, dev isa.AccelDevice) (*Core, error) {
 	// port scheduler so the TCA and core contend for the same bandwidth.
 	c.fu[fuMem] = nil
 	c.ports = make([]int64, cfg.MemPorts)
-	// The scheduler lists hold resident entries only, so ROB-sized
-	// storage never reallocates.
+	// The scheduler structures are indexed by ROB slot or hold resident
+	// entries only, so ring-sized storage never reallocates.
 	slots := len(c.rob.hot)
-	c.ready = make([]uint64, 0, cfg.ROBSize)
+	c.ready = make([]uint64, (slots+63)/64)
 	c.writers = newSeqRing(slots)
 	c.consHead = make([]int32, slots)
 	c.consNext = make([]int32, 3*slots)
@@ -381,7 +383,7 @@ func (c *Core) complete() {
 		c.issuedCount--
 		c.quiet = false
 		c.wake(pos)
-		if h.op.IsCondBranch() {
+		if h.fl&flCondBranch != 0 {
 			if c.wm[hzLowConf] == h.seq {
 				c.advance(hzLowConf, pos)
 			}
@@ -405,19 +407,18 @@ func (c *Core) noteIssued(h *robHot) {
 }
 
 // wake delivers a completed result to every operand on the producer's
-// consumer list and moves dependents that became issue candidates onto
-// the ready list.
+// consumer list and marks dependents that became issue candidates in the
+// ready set.
 func (c *Core) wake(pos int) {
 	val := c.rob.at(pos).val
 	slot := c.rob.slot(pos)
 	for l := c.consHead[slot]; l != noLink; l = c.consNext[l] {
 		ds, src := int(l)/3, int(l)%3
 		dh, d := &c.rob.hot[ds], &c.rob.cold[ds]
-		was := isCandidate(dh, d)
 		dh.pendMask &^= 1 << uint(src)
 		d.srcs[src].value = val
-		if !was && isCandidate(dh, d) {
-			c.insertReady(dh.seq)
+		if isCandidate(dh, d) {
+			c.markReady(ds)
 		}
 	}
 	c.consHead[slot] = noLink
@@ -446,7 +447,7 @@ func (c *Core) squashAfter(keep int) {
 	// program order).
 	if j, ok := c.dev.(isa.AccelJournal); ok {
 		for i := first; i < c.rob.len(); i++ {
-			if c.rob.hotAt(i).op != isa.OpAccel {
+			if c.rob.hotAt(i).fl&flAccel == 0 {
 				continue
 			}
 			e := c.rob.at(i)
@@ -486,10 +487,10 @@ func (c *Core) squashAfter(keep int) {
 		case sIssued:
 			c.issuedCount--
 		}
-		if h.op.IsMem() {
+		if h.fl&flMem != 0 {
 			c.lsqCount--
 		}
-		if h.op == isa.OpAccel {
+		if h.fl&flAccel != 0 {
 			if e.accelStarted {
 				c.stats.AccelSquashed++
 				// Free the TCA unit if this invocation was still
@@ -510,7 +511,7 @@ func (c *Core) squashAfter(keep int) {
 		}
 	}
 	c.accelArena = c.accelArena[:arenaKeep]
-	c.squashSched(keepSeq)
+	c.squashSched(first)
 	c.rob.truncate(first)
 
 	// Rebuild the rename table from the surviving entries.
@@ -518,10 +519,10 @@ func (c *Core) squashAfter(keep int) {
 		c.rename[r].valid = false
 	}
 	for i := 0; i < c.rob.len(); i++ {
-		e := c.rob.at(i)
-		if e.in.HasDst() {
-			c.rename[e.in.Dst].valid = true
-			c.rename[e.in.Dst].seq = c.rob.hotAt(i).seq
+		if h := c.rob.hotAt(i); h.fl&flDst != 0 {
+			dst := c.rob.at(i).in.Dst
+			c.rename[dst].valid = true
+			c.rename[dst].seq = h.seq
 		}
 	}
 	c.seq = c.rob.hotAt(c.rob.len()-1).seq + 1
@@ -539,13 +540,13 @@ func (c *Core) commit() {
 		switch {
 		case h.op == isa.OpHalt:
 			c.halted = true
-		case h.op.IsStore():
+		case h.fl&flStore != 0:
 			c.mem.Store(e.addr, e.storeData)
 			c.stats.Stores++
 			// Charge the write to the shared ports and hierarchy.
 			g := c.portGrant(c.now)
 			_ = c.hier.Access(g, e.addr, true)
-		case h.op == isa.OpAccel:
+		case h.fl&flAccel != 0:
 			isa.ApplyStores(c.mem, c.accelStoresOf(e))
 			c.stats.AccelCommitted++
 			if c.cfg.RecordAccelEvents {
@@ -564,31 +565,31 @@ func (c *Core) commit() {
 					c.accelArena = c.accelArena[:0]
 				}
 			}
-			if e.in.HasDst() {
+			if h.fl&flDst != 0 {
 				c.arf[e.in.Dst] = e.val
 			}
-		case h.op.IsLoad():
+		case h.fl&flLoad != 0:
 			c.stats.Loads++
 			if e.forwarded {
 				c.stats.LoadsForwarded++
 			}
 			c.arf[e.in.Dst] = e.val
-		case e.in.HasDst():
+		case h.fl&flDst != 0:
 			c.arf[e.in.Dst] = e.val
 		}
-		if h.op.IsCondBranch() {
+		if h.fl&flCondBranch != 0 {
 			c.stats.Branches++
 		}
-		if e.in.HasDst() && c.rename[e.in.Dst].valid && c.rename[e.in.Dst].seq == h.seq {
+		if h.fl&flDst != 0 && c.rename[e.in.Dst].valid && c.rename[e.in.Dst].seq == h.seq {
 			c.rename[e.in.Dst].valid = false
 		}
 		if c.barrierActive && c.barrierSeq == h.seq {
 			c.barrierActive = false
 		}
-		if h.op.IsMem() {
+		if h.fl&flMem != 0 {
 			c.lsqCount--
 		}
-		if h.op.IsStore() || h.op == isa.OpAccel {
+		if h.fl&(flStore|flAccel) != 0 {
 			c.writers.popFront()
 		}
 		c.recordPipeEvent(h, e)

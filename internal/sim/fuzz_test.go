@@ -42,11 +42,12 @@ func encodeFuzzProgram(code ...isa.Instruction) []byte {
 }
 
 // FuzzValidatedProgramRuns: every program Validate accepts is safe to
-// execute. The functional interpreter and the cycle-level core each run
-// it with a fixed-latency accelerator under a small budget; a run may end
-// in an error (an exhausted budget, say) but must never panic. Validation
-// is the only guard the executors have, so any panic here is a hole in
-// Program.Validate or an executor bug.
+// execute, and every program it rejects is refused by both executors. The
+// functional interpreter and the cycle-level core each run an accepted
+// program with a fixed-latency accelerator under a small budget; a run may
+// end in an error (an exhausted budget, say) but must never panic.
+// Validation is the only guard the executors have, so any panic here is a
+// hole in Program.Validate or an executor bug.
 func FuzzValidatedProgramRuns(f *testing.F) {
 	r, fr := isa.R, isa.F
 	// An fp destination past the register file: accepted by a class check
@@ -56,6 +57,10 @@ func FuzzValidatedProgramRuns(f *testing.F) {
 	// An accelerator argument past the register file.
 	f.Add(encodeFuzzProgram(
 		isa.Instruction{Op: isa.OpAccel, Dst: r(1), Src1: r(2), Src2: isa.NumRegs}))
+	// A load base past the register file: rejected, so NewInterp must
+	// refuse it too rather than read a register that does not exist.
+	f.Add(encodeFuzzProgram(
+		isa.Instruction{Op: isa.OpLoad, Dst: r(1), Src1: 99, Imm: 8}))
 	// A counted loop with memory traffic and an accelerator call.
 	f.Add(encodeFuzzProgram(
 		isa.Instruction{Op: isa.OpMovI, Dst: r(1), Imm: 0x1000},
@@ -79,14 +84,19 @@ func FuzzValidatedProgramRuns(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := decodeFuzzProgram(data)
-		if p.Validate() != nil {
+		verr := p.Validate()
+		it, ierr := isa.NewInterp(p, accel.NewFixedLatency(3))
+		c, serr := New(HighPerfConfig(), p, accel.NewFixedLatency(3))
+		if verr != nil {
+			if ierr == nil || serr == nil {
+				t.Fatalf("Validate rejects the program (%v), yet NewInterp returned %v and New %v", verr, ierr, serr)
+			}
 			return
 		}
-		_ = isa.NewInterp(p, accel.NewFixedLatency(3)).Run(20_000)
-		c, err := New(HighPerfConfig(), p, accel.NewFixedLatency(3))
-		if err != nil {
-			return
+		if ierr != nil || serr != nil {
+			t.Fatalf("Validate accepts the program, yet NewInterp returned %v and New %v", ierr, serr)
 		}
+		_ = it.Run(20_000)
 		_, _ = c.Run(50_000)
 	})
 }

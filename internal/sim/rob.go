@@ -23,15 +23,17 @@ type operand struct {
 }
 
 // robHot is the per-entry state the busy-cycle paths touch most: issue
-// reads state and pendMask of each candidate, wakeup clears pendMask bits,
-// completion matches seq and readyCycle, watermark advances (sched.go)
-// probe op and state, and the horizon probes state/readyCycle/op. Packing
-// these into their own slab keeps those reads to a few cache lines instead
-// of dragging the full entry (robEntry, several lines each) through cache.
+// reads state, fl and pendMask of each candidate, wakeup clears pendMask
+// bits, completion matches seq and readyCycle, watermark advances
+// (sched.go) probe fl and state, and the horizon probes state/readyCycle.
+// Packing these into their own slab keeps those reads to a few cache lines
+// instead of dragging the full entry (robEntry, several lines each)
+// through cache.
 type robHot struct {
 	seq        uint64
 	readyCycle int64
 	op         isa.Op
+	fl         opFlags // the opcode's class, set once at dispatch
 	state      entryState
 	// pendMask has bit i set while source i waits on a producer
 	// (srcs[i].producer in the cold entry). All sources ready == 0.
@@ -47,8 +49,8 @@ type robEntry struct {
 	dispatchCycle int64
 	issueCycle    int64
 
-	// srcs correspond to Src1, Src2, Src3; only fields named by srcMask
-	// are meaningful.
+	// srcs correspond to Src1, Src2, Src3; only fields named by the
+	// entry's flSrcs bits are meaningful.
 	srcs [3]operand
 
 	val uint64 // result value
@@ -79,27 +81,56 @@ type robEntry struct {
 	accelHeld    int64 // cycles held ready by the NL restriction
 }
 
-// srcUse flags which instruction fields an opcode reads.
-type srcUse uint8
+// opFlags caches an entry's opcode class on robHot, so the issue,
+// dispatch, commit, squash and hazard paths test a bit instead of
+// re-deriving the class from isa.Op per dynamic instruction. The low three
+// bits are the source mask, in pendMask's bit order.
+type opFlags uint8
 
 const (
-	use1 srcUse = 1 << iota
-	use2
-	use3
+	flSrc1       opFlags = 1 << iota // reads Src1
+	flSrc2                           // reads Src2
+	flSrc3                           // reads Src3
+	flLoad                           // isa.Op.IsLoad
+	flStore                          // isa.Op.IsStore
+	flCondBranch                     // isa.Op.IsCondBranch
+	flAccel                          // isa.OpAccel
+	flDst                            // writes a register: Instruction.HasDst, set per instruction at dispatch
+
+	flSrcs = flSrc1 | flSrc2 | flSrc3
+	flMem  = flLoad | flStore
 )
 
-func srcMask(op isa.Op) srcUse {
-	switch op {
-	case isa.OpNop, isa.OpHalt, isa.OpMovI, isa.OpFMovI, isa.OpJmp:
-		return 0
-	case isa.OpAddI, isa.OpLoad, isa.OpFLoad:
-		return use1
-	case isa.OpFMA, isa.OpAccel:
-		return use1 | use2 | use3
-	default:
-		return use1 | use2
+// opClass is every opcode's flags except flDst, which depends on the
+// instruction's Dst field. It spans every byte so an isa.Op indexes it
+// without a bounds check; opcodes Program.Validate rejects never reach it.
+var opClass = func() (t [256]opFlags) {
+	for i := range t {
+		op := isa.Op(i)
+		switch op {
+		case isa.OpNop, isa.OpHalt, isa.OpMovI, isa.OpFMovI, isa.OpJmp:
+		case isa.OpAddI, isa.OpLoad, isa.OpFLoad:
+			t[i] = flSrc1
+		case isa.OpFMA, isa.OpAccel:
+			t[i] = flSrcs
+		default:
+			t[i] = flSrc1 | flSrc2
+		}
+		if op.IsLoad() {
+			t[i] |= flLoad
+		}
+		if op.IsStore() {
+			t[i] |= flStore
+		}
+		if op.IsCondBranch() {
+			t[i] |= flCondBranch
+		}
+		if op == isa.OpAccel {
+			t[i] |= flAccel
+		}
 	}
-}
+	return t
+}()
 
 // robQueue is a ring buffer of in-flight instructions, oldest first, split
 // into parallel hot/cold slabs indexed identically (struct-of-arrays).
@@ -132,7 +163,7 @@ func (q *robQueue) len() int   { return q.count }
 func (q *robQueue) full() bool { return q.count == q.limit }
 
 // slot returns the backing-array index of the i'th oldest entry; per-slot
-// side tables (Core.consumers) are indexed by it.
+// side tables (Core.ready, Core.consHead) are indexed by it.
 func (q *robQueue) slot(i int) int { return (q.head + i) & q.mask }
 
 // hotAt returns the i'th oldest entry's hot state (0 = head).

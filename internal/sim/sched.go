@@ -1,22 +1,22 @@
 package sim
 
-import (
-	"slices"
-	"sort"
-
-	"repro/internal/isa"
-)
+import "sort"
 
 // Issue select and wakeup (see DESIGN.md "Issue select and wakeup").
 //
 // The issue, wake and store-to-load forwarding paths never walk the ROB.
 // They work off four derived structures instead:
 //
-//   - ready: the issue candidates, oldest first. A waiting entry is a
-//     candidate when all its operands are ready, or when it is a store
-//     whose base is ready but whose address is still unknown (the issue
-//     scan resolves it on arrival). Every other waiting entry has no
-//     effect on the scan except the ordering hazards below.
+//   - ready: the issue candidates, one bit per ROB slot. Age order is slot
+//     order rotated from the ROB head, so issue walks the set bits oldest
+//     first a word at a time. A waiting entry is a candidate when all its
+//     operands are ready, or when it is a store whose base is ready but
+//     whose address is still unknown (the issue scan resolves it on
+//     arrival). Every other waiting entry has no effect on the scan except
+//     the ordering hazards below. Enroll and wake set a slot's bit, issue
+//     clears it when the entry issues or stops being a candidate, and
+//     squash clears the squashed slots; nothing is inserted or compacted,
+//     and a free slot's bit is always clear.
 //   - consumer lists: per ROB slot, the source operands waiting on that
 //     entry's result, newest first, so wake costs O(consumers).
 //   - writers: the in-flight stores and TCA calls, oldest first, the only
@@ -24,6 +24,9 @@ import (
 //   - wm: one sequence-number watermark per ordering hazard, naming the
 //     oldest entry that raises it (noSeq when none does). A candidate sees
 //     a hazard exactly when the watermark is older than it.
+//
+// Each entry's opcode class is cached in robHot.fl at dispatch (rob.go),
+// so these paths test flag bits rather than re-deriving the class.
 //
 // Every structure is a function of the ROB slabs alone: enroll adds each
 // dispatched entry, the stages update them as entries issue, resolve and
@@ -67,13 +70,13 @@ func (c *Core) raises(k hazard, pos int) bool {
 	h := c.rob.hotAt(pos)
 	switch k {
 	case hzStore:
-		return h.state == sWaiting && h.op.IsStore()
+		return h.state == sWaiting && h.fl&flStore != 0
 	case hzStoreAddr:
-		return h.state == sWaiting && h.op.IsStore() && !c.rob.at(pos).addrKnown
+		return h.state == sWaiting && h.fl&flStore != 0 && !c.rob.at(pos).addrKnown
 	case hzAccel:
-		return h.state == sWaiting && h.op == isa.OpAccel
+		return h.state == sWaiting && h.fl&flAccel != 0
 	default:
-		return c.partial && h.op.IsCondBranch() && h.state != sDone && !c.rob.at(pos).predConfident
+		return c.partial && h.fl&flCondBranch != 0 && h.state != sDone && !c.rob.at(pos).predConfident
 	}
 }
 
@@ -89,7 +92,7 @@ func (c *Core) advance(k hazard, pos int) {
 	}
 }
 
-// isCandidate reports whether an entry belongs on the ready list.
+// isCandidate reports whether an entry belongs in the ready set.
 func isCandidate(h *robHot, e *robEntry) bool {
 	if h.state != sWaiting {
 		return false
@@ -97,8 +100,12 @@ func isCandidate(h *robHot, e *robEntry) bool {
 	if h.pendMask == 0 {
 		return true
 	}
-	return h.op.IsStore() && h.pendMask&uint8(use1) == 0 && !e.addrKnown
+	return h.fl&flStore != 0 && h.pendMask&uint8(flSrc1) == 0 && !e.addrKnown
 }
+
+// markReady and unmarkReady set and clear ROB slot slot's ready bit.
+func (c *Core) markReady(slot int)   { c.ready[slot>>6] |= 1 << uint(slot&63) }
+func (c *Core) unmarkReady(slot int) { c.ready[slot>>6] &^= 1 << uint(slot&63) }
 
 // enroll adds the entry at ROB position pos to the derived structures. It
 // must be the youngest entry enrolled so far: dispatch enrolls each new
@@ -108,14 +115,16 @@ func (c *Core) enroll(pos int) {
 	slot := c.rob.slot(pos)
 	c.consHead[slot] = noLink
 	if isCandidate(h, e) {
-		c.ready = append(c.ready, h.seq)
+		c.markReady(slot)
 	}
-	if h.op.IsStore() || h.op == isa.OpAccel {
+	if h.fl&(flStore|flAccel) != 0 {
 		c.writers.push(h.seq)
 	}
-	for k := range c.wm {
-		if c.wm[k] == noSeq && c.raises(hazard(k), pos) {
-			c.wm[k] = h.seq
+	if h.fl&(flStore|flAccel|flCondBranch) != 0 { // only these raise hazards
+		for k := range c.wm {
+			if c.wm[k] == noSeq && c.raises(hazard(k), pos) {
+				c.wm[k] = h.seq
+			}
 		}
 	}
 	for s := range e.srcs {
@@ -130,7 +139,7 @@ func (c *Core) enroll(pos int) {
 
 // rebuildSched recomputes every derived structure from the ROB slabs.
 func (c *Core) rebuildSched() {
-	c.ready = c.ready[:0]
+	clear(c.ready)
 	c.writers.n = 0
 	for k := range c.wm {
 		c.wm[k] = noSeq
@@ -140,21 +149,15 @@ func (c *Core) rebuildSched() {
 	}
 }
 
-// insertReady adds a newly ready entry to the ready list in age order.
-func (c *Core) insertReady(seq uint64) {
-	i, _ := slices.BinarySearch(c.ready, seq)
-	c.ready = slices.Insert(c.ready, i, seq)
-}
-
-// squashSched drops every entry younger than keepSeq from the ready list,
-// the writer list and the watermarks. Consumer lists are trimmed per
-// squashed operand by squashAfter.
-func (c *Core) squashSched(keepSeq uint64) {
-	n := len(c.ready)
-	for n > 0 && c.ready[n-1] > keepSeq {
-		n--
+// squashSched drops every entry from ROB position first on (all younger
+// than the survivors) from the ready set, the writer list and the
+// watermarks. Consumer lists are trimmed per squashed operand by
+// squashAfter.
+func (c *Core) squashSched(first int) {
+	keepSeq := c.rob.hotAt(first - 1).seq
+	for i := first; i < c.rob.len(); i++ {
+		c.unmarkReady(c.rob.slot(i))
 	}
-	c.ready = c.ready[:n]
 	for c.writers.n > 0 && c.writers.at(c.writers.n-1) > keepSeq {
 		c.writers.n--
 	}

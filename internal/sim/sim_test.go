@@ -17,7 +17,10 @@ func runBoth(t *testing.T, cfg Config, prog *isa.Program, devFor func() isa.Acce
 	if devFor != nil {
 		idev, sdev = devFor(), devFor()
 	}
-	it := isa.NewInterp(prog, idev)
+	it, err := isa.NewInterp(prog, idev)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := it.Run(50_000_000); err != nil {
 		t.Fatalf("interpreter: %v", err)
 	}

@@ -1,78 +1,92 @@
 package sim
 
 import (
+	"math/bits"
+
 	"repro/internal/bpred"
 	"repro/internal/isa"
 )
 
-// issue walks the ready list oldest-first and starts execution of ready
+// issue walks the ready set oldest-first and starts execution of ready
 // instructions, up to IssueWidth per cycle. The oldest-first order gives
 // age priority at the shared memory ports. Ordering hazards come from the
 // watermarks (sched.go), which this walk moves as it issues stores,
 // resolves store addresses and starts TCA calls, so each candidate sees
 // exactly the hazards its older entries still raise at its turn.
+//
+// The walk covers the resident slots from the head in runs that end at a
+// word boundary or at the ring's end, whichever is first (a ring smaller
+// than 64 slots wraps inside one word), taking each run's bits from a
+// copy of its word: issuing never makes another entry a candidate, so the
+// copy stays exact while the walk clears bits behind it.
 func (c *Core) issue() {
-	if len(c.ready) == 0 {
-		return
-	}
+	size := len(c.rob.hot)
+	slot, pos, left := c.rob.head, 0, c.rob.len()
 	issued := 0
-	first := c.rob.hotAt(0).seq
-	keep := c.ready[:0]
-	i := 0
-	for ; i < len(c.ready) && issued < c.cfg.IssueWidth; i++ {
-		seq := c.ready[i]
-		pos := int(seq - first)
-		h, e := c.rob.hotAt(pos), c.rob.at(pos)
-		ok := false
-		switch {
-		case h.op == isa.OpAccel:
-			accelOlder := c.wm[hzAccel] < seq
-			ok = c.tryStartAccel(pos, h, e, c.wm[hzStore] < seq, accelOlder,
-				c.devMem && accelOlder, c.wm[hzLowConf] < seq)
-			if ok && c.wm[hzAccel] == seq {
-				c.advance(hzAccel, pos)
-			}
-		case h.op.IsLoad():
-			storeHazard := c.wm[hzStoreAddr] < seq
-			if c.cfg.ConservativeLoadOrdering {
-				storeHazard = c.wm[hzStore] < seq
-			}
-			ok = c.tryIssueLoad(h, e, storeHazard, c.devMem && c.wm[hzAccel] < seq)
-		case h.op.IsStore():
-			// Store address generation is decoupled from the data:
-			// the address resolves as soon as the base register is
-			// ready, letting younger loads disambiguate early the
-			// way real LSQs do. (A store with an unknown address is
-			// a candidate only once its base is ready.)
-			if !e.addrKnown {
-				e.addr = e.operandValue(0) + uint64(e.in.Imm)
-				e.addrKnown = true
-				c.quiet = false // a state change even when the store stays waiting
-			}
-			ok = c.tryIssueStore(h, e)
-			if c.wm[hzStoreAddr] == seq {
-				c.advance(hzStoreAddr, pos)
-			}
-			if ok && c.wm[hzStore] == seq {
-				c.advance(hzStore, pos)
-			}
-		default:
-			ok = c.tryIssueSimple(h, e)
+	for left > 0 && issued < c.cfg.IssueWidth {
+		off := slot & 63
+		n := min(64-off, size-slot, left)
+		w := c.ready[slot>>6] >> uint(off)
+		if n < 64 {
+			w &= 1<<uint(n) - 1
 		}
-		if ok {
-			e.issueCycle = c.now
-			c.iqCount--
-			c.issuedCount++
-			c.noteIssued(h)
-			c.quiet = false
-			issued++
-			continue
+		for ; w != 0 && issued < c.cfg.IssueWidth; w &= w - 1 {
+			b := bits.TrailingZeros64(w)
+			s, p := slot+b, pos+b
+			h, e := &c.rob.hot[s], &c.rob.cold[s]
+			seq := h.seq
+			ok := false
+			switch {
+			case h.fl&flAccel != 0:
+				accelOlder := c.wm[hzAccel] < seq
+				ok = c.tryStartAccel(p, h, e, c.wm[hzStore] < seq, accelOlder,
+					c.devMem && accelOlder, c.wm[hzLowConf] < seq)
+				if ok && c.wm[hzAccel] == seq {
+					c.advance(hzAccel, p)
+				}
+			case h.fl&flLoad != 0:
+				storeHazard := c.wm[hzStoreAddr] < seq
+				if c.cfg.ConservativeLoadOrdering {
+					storeHazard = c.wm[hzStore] < seq
+				}
+				ok = c.tryIssueLoad(h, e, storeHazard, c.devMem && c.wm[hzAccel] < seq)
+			case h.fl&flStore != 0:
+				// Store address generation is decoupled from the data:
+				// the address resolves as soon as the base register is
+				// ready, letting younger loads disambiguate early the
+				// way real LSQs do. (A store with an unknown address is
+				// a candidate only once its base is ready.)
+				if !e.addrKnown {
+					e.addr = e.operandValue(0) + uint64(e.in.Imm)
+					e.addrKnown = true
+					c.quiet = false // a state change even when the store stays waiting
+				}
+				ok = c.tryIssueStore(h, e)
+				if c.wm[hzStoreAddr] == seq {
+					c.advance(hzStoreAddr, p)
+				}
+				if ok && c.wm[hzStore] == seq {
+					c.advance(hzStore, p)
+				}
+			default:
+				ok = c.tryIssueSimple(h, e)
+			}
+			if ok {
+				e.issueCycle = c.now
+				c.iqCount--
+				c.issuedCount++
+				c.noteIssued(h)
+				c.quiet = false
+				issued++
+			}
+			if !isCandidate(h, e) { // issued, or a store now waiting on its data
+				c.unmarkReady(s)
+			}
 		}
-		if isCandidate(h, e) {
-			keep = append(keep, seq)
-		}
+		slot = (slot + n) & c.rob.mask
+		pos += n
+		left -= n
 	}
-	c.ready = append(keep, c.ready[i:]...)
 }
 
 // tryIssueSimple handles ALU, FP, branch, and immediate-move instructions.
@@ -81,19 +95,19 @@ func (c *Core) tryIssueSimple(h *robHot, e *robEntry) bool {
 		return false
 	}
 	op := h.op
-	lat := int64(c.cfg.opLatency(op))
+	x := &c.exec[op]
 	busyUntil := c.now + 1
-	if unpipelined(op) {
-		busyUntil = c.now + lat
+	if x.unpipelined {
+		busyUntil = c.now + x.lat
 	}
-	if !c.grabFU(fuFor(op), busyUntil) {
+	if !c.grabFU(x.fu, busyUntil) {
 		return false
 	}
 	h.state = sIssued
-	h.readyCycle = c.now + lat
+	h.readyCycle = c.now + x.lat
 
 	switch {
-	case op.IsCondBranch():
+	case h.fl&flCondBranch != 0:
 		e.actualTaken = isa.EvalBranch(op, e.operandValue(0), e.operandValue(1))
 		if e.actualTaken {
 			e.nextPC = int(e.in.Imm)
@@ -184,7 +198,7 @@ func (c *Core) forwardScan(seq uint64, word uint64) (val uint64, when int64, sta
 		i := int(c.writers.at(j) - first)
 		oh := c.rob.hotAt(i)
 		switch {
-		case oh.op.IsStore():
+		case oh.fl&flStore != 0:
 			o := c.rob.at(i)
 			if !o.addrKnown || o.addr>>3 != word {
 				continue
@@ -238,7 +252,8 @@ func (c *Core) dispatch() {
 			return
 		}
 		f := c.fetchQ[c.fetchHead]
-		if f.in.Op.IsMem() && c.lsqCount >= c.cfg.LSQSize {
+		fl := opClass[f.in.Op]
+		if fl&flMem != 0 && c.lsqCount >= c.cfg.LSQSize {
 			c.stats.DispatchStalls.LSQFull++
 			c.cycleStall = &c.stats.DispatchStalls.LSQFull
 			return
@@ -246,10 +261,14 @@ func (c *Core) dispatch() {
 		c.fetchHead++
 		c.quiet = false
 
+		if f.in.HasDst() {
+			fl |= flDst
+		}
 		h, e := c.rob.push()
 		*h = robHot{
 			seq:        c.seq,
 			op:         f.in.Op,
+			fl:         fl,
 			state:      sWaiting,
 			readyCycle: c.now,
 		}
@@ -264,10 +283,9 @@ func (c *Core) dispatch() {
 		c.seq++
 
 		// Rename sources.
-		m := srcMask(f.in.Op)
 		fields := [3]isa.Reg{f.in.Src1, f.in.Src2, f.in.Src3}
 		for i, r := range fields {
-			if m&(1<<uint(i)) == 0 || r == isa.RZero {
+			if fl&(1<<uint(i)) == 0 || r == isa.RZero {
 				continue
 			}
 			if rn := c.rename[r]; rn.valid {
@@ -283,7 +301,7 @@ func (c *Core) dispatch() {
 			}
 			e.srcs[i] = operand{value: c.arf[r]}
 		}
-		if f.in.HasDst() {
+		if fl&flDst != 0 {
 			c.rename[f.in.Dst].valid = true
 			c.rename[f.in.Dst].seq = h.seq
 		}
@@ -303,7 +321,7 @@ func (c *Core) dispatch() {
 		default:
 			c.iqCount++
 		}
-		if f.in.Op.IsMem() {
+		if fl&flMem != 0 {
 			c.lsqCount++
 		}
 		c.enroll(c.rob.len() - 1)

@@ -23,12 +23,18 @@ func TestDAEStreamEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ib := isa.NewInterp(w.Baseline, nil)
+	ib, err := isa.NewInterp(w.Baseline, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := ib.Run(1 << 30); err != nil {
 		t.Fatal(err)
 	}
 	dev := w.NewDevice()
-	ia := isa.NewInterp(w.Accelerated, dev)
+	ia, err := isa.NewInterp(w.Accelerated, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := ia.Run(1 << 30); err != nil {
 		t.Fatal(err)
 	}
@@ -103,12 +109,18 @@ func TestLoopNestEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ib := isa.NewInterp(w.Baseline, nil)
+	ib, err := isa.NewInterp(w.Baseline, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := ib.Run(1 << 30); err != nil {
 		t.Fatal(err)
 	}
 	dev := w.NewDevice()
-	ia := isa.NewInterp(w.Accelerated, dev)
+	ia, err := isa.NewInterp(w.Accelerated, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := ia.Run(1 << 30); err != nil {
 		t.Fatal(err)
 	}

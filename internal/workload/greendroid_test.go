@@ -15,14 +15,20 @@ func TestMultiTCAAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Straight-line: dynamic == static, verified on the golden model.
-	it := isa.NewInterp(w.Baseline, nil)
+	it, err := isa.NewInterp(w.Baseline, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := it.Run(1 << 32); err != nil {
 		t.Fatal(err)
 	}
 	if it.Stats.Retired != w.BaselineInstructions {
 		t.Errorf("baseline dynamic %d != recorded %d", it.Stats.Retired, w.BaselineInstructions)
 	}
-	ia := isa.NewInterp(w.Accelerated, w.NewDevice())
+	ia, err := isa.NewInterp(w.Accelerated, w.NewDevice())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := ia.Run(1 << 32); err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +59,10 @@ func TestMultiTCADistinctDevicesInvoked(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev := w.NewDevice().(*accel.Mux)
-	ia := isa.NewInterp(w.Accelerated, dev)
+	ia, err := isa.NewInterp(w.Accelerated, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := ia.Run(1 << 32); err != nil {
 		t.Fatal(err)
 	}

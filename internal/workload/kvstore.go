@@ -137,7 +137,10 @@ func KVStore(cfg KVStoreConfig) (*Workload, error) {
 	acc, _ := buildKVProgram(cfg, seedMem, keyData, ops, true)
 
 	// Measure baseline accounting on the golden model.
-	it := isa.NewInterp(base, nil)
+	it, err := isa.NewInterp(base, nil)
+	if err != nil {
+		return nil, fmt.Errorf("workload: kvstore baseline measurement: %w", err)
+	}
 	for _, r := range baseRanges {
 		it.CountRange(r[0], r[1])
 	}

@@ -19,11 +19,17 @@ func TestKVStoreBaselineAcceleratedAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ib := isa.NewInterp(w.Baseline, nil)
+	ib, err := isa.NewInterp(w.Baseline, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := ib.Run(1 << 32); err != nil {
 		t.Fatal(err)
 	}
-	ia := isa.NewInterp(w.Accelerated, w.NewDevice())
+	ia, err := isa.NewInterp(w.Accelerated, w.NewDevice())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := ia.Run(1 << 32); err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +90,17 @@ func TestStringMatchBaselineAcceleratedAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ib := isa.NewInterp(w.Baseline, nil)
+	ib, err := isa.NewInterp(w.Baseline, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := ib.Run(1 << 32); err != nil {
 		t.Fatal(err)
 	}
-	ia := isa.NewInterp(w.Accelerated, w.NewDevice())
+	ia, err := isa.NewInterp(w.Accelerated, w.NewDevice())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := ia.Run(1 << 32); err != nil {
 		t.Fatal(err)
 	}

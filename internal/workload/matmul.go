@@ -78,7 +78,10 @@ func MatMul(cfg MatMulConfig) (*Workload, error) {
 	acc, _, _ := buildMatMul(cfg, true)
 
 	// Measure total and in-region dynamic counts on the golden model.
-	it := isa.NewInterp(base, nil)
+	it, err := isa.NewInterp(base, nil)
+	if err != nil {
+		return nil, fmt.Errorf("workload: matmul baseline measurement: %w", err)
+	}
 	ridx := it.CountRange(regionLo, regionHi)
 	if err := it.Run(1 << 62); err != nil {
 		return nil, fmt.Errorf("workload: matmul baseline measurement: %w", err)

@@ -147,7 +147,10 @@ func RegexMatch(cfg RegexMatchConfig) (*Workload, error) {
 		return nil, err
 	}
 
-	it := isa.NewInterp(base, nil)
+	it, err := isa.NewInterp(base, nil)
+	if err != nil {
+		return nil, fmt.Errorf("workload: regex baseline measurement: %w", err)
+	}
 	for _, r := range ranges {
 		it.CountRange(r[0], r[1])
 	}

@@ -20,11 +20,17 @@ func TestRegexMatchBaselineAcceleratedAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ib := isa.NewInterp(w.Baseline, nil)
+	ib, err := isa.NewInterp(w.Baseline, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := ib.Run(1 << 32); err != nil {
 		t.Fatal(err)
 	}
-	ia := isa.NewInterp(w.Accelerated, w.NewDevice())
+	ia, err := isa.NewInterp(w.Accelerated, w.NewDevice())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := ia.Run(1 << 32); err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +91,10 @@ func TestRegexMatchHasBothOutcomes(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev := w.NewDevice()
-	ia := isa.NewInterp(w.Accelerated, dev)
+	ia, err := isa.NewInterp(w.Accelerated, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := ia.Run(1 << 32); err != nil {
 		t.Fatal(err)
 	}

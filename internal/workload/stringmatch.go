@@ -126,7 +126,10 @@ func StringMatch(cfg StringMatchConfig) (*Workload, error) {
 	base, ranges := build(false)
 	acc, _ := build(true)
 
-	it := isa.NewInterp(base, nil)
+	it, err := isa.NewInterp(base, nil)
+	if err != nil {
+		return nil, fmt.Errorf("workload: stringmatch baseline measurement: %w", err)
+	}
 	for _, r := range ranges {
 		it.CountRange(r[0], r[1])
 	}

@@ -17,7 +17,10 @@ func TestSyntheticCounts(t *testing.T) {
 		t.Errorf("accounting = %d/%d, want 300/10", w.Acceleratable, w.Invocations)
 	}
 	// Straight-line: dynamic == static, verified on the golden model.
-	it := isa.NewInterp(w.Baseline, nil)
+	it, err := isa.NewInterp(w.Baseline, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := it.Run(1 << 30); err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +29,10 @@ func TestSyntheticCounts(t *testing.T) {
 	}
 	// Accelerated program is shorter by (RegionLen-1) per region.
 	wantAcc := w.BaselineInstructions - uint64(cfg.Regions*(cfg.RegionLen-1))
-	ia := isa.NewInterp(w.Accelerated, w.NewDevice())
+	ia, err := isa.NewInterp(w.Accelerated, w.NewDevice())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := ia.Run(1 << 30); err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +121,10 @@ func TestHeapBaselineExecutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it := isa.NewInterp(w.Baseline, nil)
+	it, err := isa.NewInterp(w.Baseline, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := it.Run(1 << 30); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +147,10 @@ func TestHeapAcceleratedExecutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev := w.NewDevice()
-	it := isa.NewInterp(w.Accelerated, dev)
+	it, err := isa.NewInterp(w.Accelerated, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := it.Run(1 << 30); err != nil {
 		t.Fatal(err)
 	}
@@ -184,11 +196,17 @@ func TestMatMulCorrectness(t *testing.T) {
 	}
 	// Run both variants functionally and compare every C element against
 	// a direct Go computation.
-	ib := isa.NewInterp(w.Baseline, nil)
+	ib, err := isa.NewInterp(w.Baseline, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := ib.Run(1 << 32); err != nil {
 		t.Fatal(err)
 	}
-	ia := isa.NewInterp(w.Accelerated, w.NewDevice())
+	ia, err := isa.NewInterp(w.Accelerated, w.NewDevice())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := ia.Run(1 << 32); err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +249,10 @@ func TestMatMulAccounting(t *testing.T) {
 		t.Errorf("coverage = %v, want > 0.9", a)
 	}
 	// Interpreter-verified invocation count.
-	ia := isa.NewInterp(w.Accelerated, w.NewDevice())
+	ia, err := isa.NewInterp(w.Accelerated, w.NewDevice())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := ia.Run(1 << 32); err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +291,10 @@ func TestTCMallocDeviceMatchesPrefill(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev := w.NewDevice()
-	it := isa.NewInterp(w.Accelerated, dev)
+	it, err := isa.NewInterp(w.Accelerated, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := it.Run(1 << 30); err != nil {
 		t.Fatal(err)
 	}
